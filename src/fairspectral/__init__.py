@@ -24,6 +24,7 @@ from .model import (
     forward_spectral,
     init_propagation_params,
     init_spectral_params,
+    propagate_features,
 )
 from .train import TrainConfig, TrainHistory, train
 
@@ -47,6 +48,7 @@ __all__ = [
     "ModelParams",
     "forward_spectral",
     "forward_propagation",
+    "propagate_features",
     "init_spectral_params",
     "init_propagation_params",
     "TrainConfig",

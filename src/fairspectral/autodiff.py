@@ -3,11 +3,12 @@
 Just enough machinery to train the models in this package: a Tensor wraps a
 float64 array and remembers how it was produced; ``backward`` walks the tape
 in reverse topological order and accumulates vector-Jacobian products into
-every tensor marked as a parameter.  The op set is closed and small: dense
-matmul, sparse-dense matmul against a constant symmetric matrix, add,
-subtract, elementwise multiply (both with numpy-style broadcasting), concat
-and slice over columns, transpose, relu, row softmax, layer norm, and a
-masked cross-entropy head.  Anything a model needs must be phrased in these.
+every tensor marked as a parameter.  The op set is closed, small and dense:
+matmul, add, subtract, elementwise multiply (both with numpy-style
+broadcasting), scale, concat and slice over columns, transpose, relu, row
+softmax, layer norm, and a masked cross-entropy head.  Anything a model
+needs must be phrased in these; constant inputs such as propagated features
+are computed outside the graph.
 
 Gradients for broadcast ops are reduced back to the parent shape by summing
 the broadcast axes.  Graphs are built eagerly and are deterministic: the
@@ -16,8 +17,6 @@ same inputs produce bitwise identical values and gradients.
 from __future__ import annotations
 
 import numpy as np
-
-from .sparse import CsrMatrix
 
 
 class Tensor:
@@ -145,13 +144,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         (a, b),
         (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
     )
-
-
-def spmm(s: CsrMatrix, x: Tensor) -> Tensor:
-    """S @ X with S a constant symmetric sparse matrix.
-
-    Symmetry carries the gradient: d/dX = S^T G = S G."""
-    return _node(s.matmat(x.value), (x,), (lambda g: s.matmat(g),))
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -51,6 +51,7 @@ from .convergence import (
 from .eigen import (
     DenseLimitError,
     NoConvergenceError,
+    SpectralBasis,
     full_dense_eigendecomposition,
     save_basis,
     top_k_eigenpairs,
@@ -72,6 +73,7 @@ from .model import (
     forward_spectral,
     init_propagation_params,
     init_spectral_params,
+    propagate_features,
 )
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -189,15 +191,16 @@ def _cmd_eig(s: dict) -> int:
     op = normalize(g, s["mode"])
     t0 = time.perf_counter()
     if s["dense"]:
+        if s["k"] > g.n:
+            raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
         basis = full_dense_eigendecomposition(
             op.matrix.to_dense(), dense_limit=s["dense_limit"]
         )
         method = "dense-full"
         if s["k"] < basis.k:
-            from .eigen import top_k_from_dense
-
-            basis = top_k_from_dense(op.matrix.to_dense(), s["k"],
-                                     dense_limit=s["dense_limit"])
+            k = s["k"]
+            basis = SpectralBasis(basis.eigenvalues[:k], basis.eigenvectors[:, :k],
+                                  basis.residuals[:k])
             method = "dense-topk"
     else:
         basis = top_k_eigenpairs(op, s["k"], tol=s["tol"], seed=s["seed"])
@@ -269,8 +272,8 @@ def _cmd_train(s: dict) -> int:
         forward = lambda p: forward_spectral(p, basis, g.features)
     else:
         params = init_propagation_params(rng, g.features.shape[1], s["hidden"], 2)
-        forward = lambda p: forward_propagation(
-            p, op.matrix, g.features, s["steps"], s["theta"])
+        propagated = propagate_features(op.matrix, g.features, s["steps"], s["theta"])
+        forward = lambda p: forward_propagation(p, propagated)
     history = train(
         params, forward, g.labels, g.sensitive, g.train_mask, g.val_mask,
         TrainConfig(max_epochs=s["epochs"], lr=s["lr"],

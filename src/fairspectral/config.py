@@ -71,7 +71,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("p_out", float, 0.001, "between-block edge probability"),
         Option("homophily", float, 0.9, "P(sensitive attribute matches block)"),
         Option("label_bias", float, 0.9, "P(label matches planted signal)"),
-        Option("dims", int, 8, "feature dimensions beyond the sensitive column"),
+        Option("dims", int, 8, "feature columns, the sensitive column included"),
         Option("noise_sd", float, 1.0, "feature noise scale"),
         Option("seed", int, 0, "generator seed"),
         Option("out", str, "data", "output directory"),

@@ -101,32 +101,39 @@ def _jsonable(obj):
     return obj
 
 
-def convolution_similarity(s, h: np.ndarray, l: int) -> float:
-    """cos<S^l h, h> computed by l matrix products with renormalization.
+def _renormalized_iterates(s, h: np.ndarray, ls):
+    """Yield (l, S^l h / ||S^l h||) for each l of the ascending list ls.
 
-    Renormalizing each iterate keeps magnitudes near one for any spectral
-    radius; the cosine is invariant to it.  Returns NaN (flagged undefined)
-    if the iterate vanishes, i.e. S^l h = 0.
+    One sweep of matrix products, renormalizing every iterate so magnitudes
+    stay near one for any spectral radius.  If the iterate vanishes, i.e.
+    S^l h = 0, yields (l, None) and stops.
     """
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    h = np.asarray(h, dtype=np.float64)
-    nh = np.linalg.norm(h)
-    if nh == 0.0:
-        raise ValueError("h must be non-zero")
     matvec = s.matvec if hasattr(s, "matvec") else (lambda x: np.asarray(s) @ x)
-    v = h / nh
-    for _ in range(l):
-        v = matvec(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float("nan")
-        v = v / nv
-    return float(np.clip((v @ h) / nh, -1.0, 1.0))
+    v = h / np.linalg.norm(h)
+    step = 0
+    for l in ls:
+        while step < l:
+            v = matvec(v)
+            nv = np.linalg.norm(v)
+            if nv == 0.0:
+                yield l, None
+                return
+            v = v / nv
+            step += 1
+        yield l, v
+
+
+def convolution_similarity(s, h: np.ndarray, l: int) -> float:
+    """cos<S^l h, h>, or NaN (flagged undefined) if S^l h = 0."""
+    return similarity_trace(s, h, [l])[0][1]
 
 
 def similarity_trace(s, h: np.ndarray, ls) -> list:
-    """(l, cos<S^l h, h>) for each l in ls, sharing one renormalized sweep."""
+    """(l, cos<S^l h, h>) for each l in ls, sharing one renormalized sweep.
+
+    The cosine is invariant to the renormalization.  A vanishing iterate
+    ends the trace with NaN at the first l that reaches it.
+    """
     ls = sorted(set(int(l) for l in ls))
     if ls and ls[0] < 0:
         raise ValueError("l values must be non-negative")
@@ -134,25 +141,10 @@ def similarity_trace(s, h: np.ndarray, ls) -> list:
     nh = np.linalg.norm(h)
     if nh == 0.0:
         raise ValueError("h must be non-zero")
-    matvec = s.matvec if hasattr(s, "matvec") else (lambda x: np.asarray(s) @ x)
-    out = []
-    v = h / nh
-    step = 0
-    for l in ls:
-        dead = False
-        while step < l:
-            v = matvec(v)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                dead = True
-                break
-            v = v / nv
-            step += 1
-        if dead:
-            out.append((l, float("nan")))
-            break
-        out.append((l, float(np.clip((v @ h) / nh, -1.0, 1.0))))
-    return out
+    return [
+        (l, float("nan") if v is None else float(np.clip((v @ h) / nh, -1.0, 1.0)))
+        for l, v in _renormalized_iterates(s, h, ls)
+    ]
 
 
 def projection_weights(basis: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -373,15 +365,9 @@ def verify_decay_rate(
     # principal component, so alpha_i * alpha_1 * (proj_i / proj_1)
     # reproduces the term alpha_i^2 (lambda_i/lambda_1)^l from iteration
     # alone; only the two scalars come from the reference decomposition.
-    v = h / np.linalg.norm(h)
     terms_measured = []
     contributions = []
-    step = 0
-    for l in l_values:
-        while step < l:
-            v = s @ v if not hasattr(s, "matvec") else s.matvec(v)
-            v = v / np.linalg.norm(v)
-            step += 1
+    for l, v in _renormalized_iterates(s, h, l_values):
         proj = projection_weights(ref.eigenvectors, v)
         term_i = float(alpha[index] * alpha[0] * proj[index] / proj[0])
         terms_measured.append(term_i)

@@ -455,16 +455,6 @@ def top_k_eigenpairs(
         j = keep
 
 
-def top_k_from_dense(a: np.ndarray, k: int, dense_limit: int = DENSE_LIMIT_DEFAULT) -> SpectralBasis:
-    """Truncate the full dense decomposition to its leading k pairs."""
-    basis = full_dense_eigendecomposition(a, dense_limit=dense_limit)
-    if not 1 <= k <= basis.n:
-        raise ValueError(f"k must be in [1, {basis.n}], got {k}")
-    return SpectralBasis(
-        basis.eigenvalues[:k], basis.eigenvectors[:, :k], basis.residuals[:k]
-    )
-
-
 def save_basis(basis: SpectralBasis, path) -> None:
     """Write a basis in the FSB1 container.
 

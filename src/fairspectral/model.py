@@ -11,10 +11,12 @@ Two forward passes are provided:
 * ``forward_spectral``: encode spectrum -> modulate -> filter features in the
   eigenbasis -> convolution layers on the concatenation of raw and filtered
   features -> linear classifier.
-* ``forward_propagation``: a reference smoothing model that repeatedly mixes
-  features with the operator, ``H <- (1 - theta) * S H + theta * H0``.
+* ``forward_propagation``: a reference smoothing model, two linear maps
+  applied to features that ``propagate_features`` has already mixed with the
+  operator, ``Z <- (1 - theta) * S Z + theta * X``.  The model is linear in
+  its input map, so the sparse work runs once per graph, not once per pass.
 
-All passes are built from :mod:`fairspectral.autodiff` ops, so the same code
+Both passes are built from :mod:`fairspectral.autodiff` ops, so the same code
 path serves training (parameters track gradients) and inference (parameters
 are plain constants).
 """
@@ -39,6 +41,7 @@ __all__ = [
     "spectral_transform",
     "forward_spectral",
     "forward_propagation",
+    "propagate_features",
     "init_spectral_params",
     "init_propagation_params",
 ]
@@ -277,25 +280,34 @@ def forward_spectral(
     return ad.matmul(h, params.classifier)
 
 
-def forward_propagation(
-    params: ModelParams,
+def propagate_features(
     operator: CsrMatrix,
     features: np.ndarray,
     n_steps: int = 10,
     theta: float = 0.1,
-) -> Tensor:
-    """Logits of the smoothing reference model.
+) -> np.ndarray:
+    """Features of the smoothing reference model, computed once per graph.
 
-    ``H <- (1 - theta) * S H + theta * H0`` repeated ``n_steps`` times from
-    ``H0 = X W``; ``theta`` is the restart weight that keeps a fraction of
-    the unsmoothed representation in the mix.
+    ``Z <- (1 - theta) * S Z + theta * X`` repeated ``n_steps`` times from
+    ``Z = X``; ``theta`` is the restart weight that keeps a fraction of the
+    unsmoothed features in the mix.  Propagating ``X`` and then mapping by
+    ``W`` equals propagating ``X W``, because every step is linear.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    h0 = ad.matmul(ad.constant(features), params.input_map)
-    h = h0
+    x = np.asarray(features, dtype=np.float64)
+    z = x
     for _ in range(n_steps):
-        h = ad.add(ad.scale(ad.spmm(operator, h), 1.0 - theta), ad.scale(h0, theta))
+        z = operator.matmat(z) * (1.0 - theta) + x * theta
+    return z
+
+
+def forward_propagation(params: ModelParams, propagated: np.ndarray) -> Tensor:
+    """Logits of the smoothing reference model, ``(Z W) C``.
+
+    ``propagated`` is the output of ``propagate_features`` on this graph.
+    """
+    h = ad.matmul(ad.constant(propagated), params.input_map)
     return ad.matmul(h, params.classifier)

@@ -32,6 +32,7 @@ from fairspectral.model import (
     forward_spectral,
     init_propagation_params,
     init_spectral_params,
+    propagate_features,
     spectral_transform,
 )
 from fairspectral.sparse import csr_from_dense, csr_from_edges
@@ -239,7 +240,8 @@ def test_criterion_08_fairness_utility_tradeoff():
 
         rng = np.random.default_rng(1000 + seed)
         pb = init_propagation_params(rng, x.shape[1], 16, 2)
-        fwd = lambda p: forward_propagation(p, op.matrix, x, n_steps=10, theta=0.1)
+        z = propagate_features(op.matrix, x, n_steps=10, theta=0.1)
+        fwd = lambda p: forward_propagation(p, z)
         train(pb, fwd, y, s, tr, va, cfg_train)
         rb = evaluate(fwd(pb).value, y, s, te)
         rows.append((rs.accuracy, rs.delta_sp, rb.accuracy, rb.delta_sp))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fairspectral import autodiff as ad
-from fairspectral.sparse import csr_from_dense
 
 LABELS5 = np.array([0, 1, 1, 0, 1])
 MASK5 = np.ones(5, dtype=bool)
@@ -100,13 +99,6 @@ class TestLinearOps:
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(5), LABELS5] -= 1.0
         np.testing.assert_allclose(w.grad, x.T @ (soft / 5.0), atol=1e-12)
-
-    def test_spmm_against_symmetric_operator(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((5, 5)) * (rng.random((5, 5)) < 0.5)
-        s = csr_from_dense((a + a.T) / 2.0)
-        x = param(rng, 5, 3)
-        check_gradients(lambda: scalarize(ad.spmm(s, x)), [x])
 
     def test_transpose(self):
         rng = np.random.default_rng(9)

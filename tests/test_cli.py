@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from fairspectral import eigen
 from fairspectral.cli import main
 from fairspectral.eigen import load_basis
 
@@ -51,6 +52,11 @@ class TestGen:
         first = lines[1].split(",")
         assert first[0] in ("0", "1")
         assert first[-1] in ("0", "1")
+
+    def test_dims_counts_the_sensitive_column(self, tmp_path):
+        out = gen_graph(tmp_path, extra=("--dims", "5"))
+        header = (out / "nodes.csv").read_text().splitlines()[0]
+        assert header == "sensitive,x1,x2,x3,x4,label"
 
     def test_edges_are_upper_triangular_pairs(self, tmp_path):
         out = gen_graph(tmp_path)
@@ -102,6 +108,29 @@ class TestEig:
         sidecar = json.loads(out.with_suffix(".bin.json").read_text())
         assert sidecar["method"] == "dense-topk"
         assert load_basis(out).k == 5
+
+    def test_dense_route_decomposes_once(self, tmp_path, monkeypatch):
+        data = gen_graph(tmp_path, n=40)
+        full, top = tmp_path / "full.bin", tmp_path / "top.bin"
+        assert run("eig", "--graph", str(data), "--k", "40", "--dense",
+                   "--out", str(full)) == 0
+        calls = []
+        solve = eigen.dense_symmetric_eig
+        monkeypatch.setattr(eigen, "dense_symmetric_eig",
+                            lambda a: calls.append(a.shape) or solve(a))
+        assert run("eig", "--graph", str(data), "--k", "3", "--dense",
+                   "--out", str(top)) == 0
+        assert calls == [(40, 40)]
+        a, b = load_basis(full), load_basis(top)
+        assert b.eigenvalues.tobytes() == a.eigenvalues[:3].tobytes()
+        assert b.eigenvectors.tobytes() == a.eigenvectors[:, :3].tobytes()
+
+    def test_dense_k_above_n_is_usage_error(self, tmp_path, capsys):
+        data = gen_graph(tmp_path, n=40)
+        for extra in ((), ("--dense",)):
+            assert run("eig", "--graph", str(data), "--k", "100", *extra,
+                       "--out", str(tmp_path / "x.bin")) == 1
+            assert "k must be in [1, 40]" in capsys.readouterr().err
 
     def test_routes_agree_on_eigenvalues(self, tmp_path):
         data = gen_graph(tmp_path)

@@ -23,7 +23,6 @@ from fairspectral.eigen import (
     magnitude_order,
     save_basis,
     top_k_eigenpairs,
-    top_k_from_dense,
 )
 from fairspectral.sparse import csr_from_dense
 
@@ -35,6 +34,12 @@ def random_sparse_symmetric(rng, n, density=0.08):
     a = a * (rng.random((n, n)) < density)
     a = (a + a.T) / 2.0
     return a
+
+
+def dense_prefix(a, k):
+    """Leading k pairs of the full dense decomposition."""
+    full = full_dense_eigendecomposition(a)
+    return SpectralBasis(full.eigenvalues[:k], full.eigenvectors[:, :k])
 
 
 def subspace_angle(p, q):
@@ -122,14 +127,6 @@ class TestDenseRoute:
         w, v = dense_symmetric_eig(np.array([[7.0]]))
         np.testing.assert_allclose(w, [7.0])
         np.testing.assert_allclose(v, [[1.0]])
-
-    def test_top_k_from_dense_is_a_prefix(self):
-        rng = np.random.default_rng(13)
-        a = random_sparse_symmetric(rng, 40, density=0.3)
-        full = full_dense_eigendecomposition(a)
-        top = top_k_from_dense(a, 5)
-        np.testing.assert_array_equal(top.eigenvalues, full.eigenvalues[:5])
-        np.testing.assert_array_equal(top.eigenvectors, full.eigenvectors[:, :5])
 
 
 class TestSparseAgainstDense:
@@ -223,7 +220,7 @@ class TestBasisContainer:
     def test_file_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(30)
         a = random_sparse_symmetric(rng, 25, density=0.4)
-        basis = top_k_from_dense(a, 6)
+        basis = dense_prefix(a, 6)
         path = tmp_path / "basis.bin"
         save_basis(basis, path)
         loaded = load_basis(path)
@@ -239,7 +236,7 @@ class TestBasisContainer:
 
     def test_truncated_payload_rejected(self, tmp_path):
         rng = np.random.default_rng(31)
-        basis = top_k_from_dense(random_sparse_symmetric(rng, 10, density=0.5), 3)
+        basis = dense_prefix(random_sparse_symmetric(rng, 10, density=0.5), 3)
         path = tmp_path / "basis.bin"
         save_basis(basis, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -248,7 +245,7 @@ class TestBasisContainer:
 
     def test_json_export_parses(self):
         rng = np.random.default_rng(32)
-        basis = top_k_from_dense(random_sparse_symmetric(rng, 8, density=0.5), 2)
+        basis = dense_prefix(random_sparse_symmetric(rng, 8, density=0.5), 2)
         doc = json.loads(basis_to_json(basis))
         assert doc["n"] == 8 and doc["k"] == 2
         np.testing.assert_allclose(doc["eigenvalues"], basis.eigenvalues)

@@ -12,6 +12,7 @@ from fairspectral.model import (
     init_propagation_params,
     init_spectral_params,
     modulate_spectrum,
+    propagate_features,
     sinusoidal_encode,
     spectral_transform,
 )
@@ -190,8 +191,8 @@ class TestPropagationForward:
         rng = np.random.default_rng(18)
         params = init_propagation_params(rng, 4, 8, 2)
         x = rng.standard_normal((5, 4))
-        op = csr_from_dense(np.eye(5))
-        logits = forward_propagation(params, op, x, n_steps=0).value
+        z = propagate_features(csr_from_dense(np.eye(5)), x, n_steps=0)
+        logits = forward_propagation(params, z).value
         expected = x @ params.input_map.value @ params.classifier.value
         np.testing.assert_array_equal(logits, expected)
 
@@ -199,12 +200,10 @@ class TestPropagationForward:
         # S = I makes every step return the restart state exactly, so depth
         # cannot change the output.
         rng = np.random.default_rng(19)
-        params = init_propagation_params(rng, 3, 6, 2)
         x = rng.standard_normal((7, 3))
         op = csr_from_dense(np.eye(7))
-        shallow = forward_propagation(params, op, x, n_steps=0).value
-        deep = forward_propagation(params, op, x, n_steps=25, theta=0.1).value
-        np.testing.assert_allclose(deep, shallow, atol=1e-12)
+        deep = propagate_features(op, x, n_steps=25, theta=0.1)
+        np.testing.assert_allclose(deep, x, atol=1e-12)
 
     def test_two_node_single_step_arithmetic(self):
         params = init_propagation_params(np.random.default_rng(20), 1, 1, 2)
@@ -212,22 +211,53 @@ class TestPropagationForward:
         params.classifier.value[...] = [[1.0, -1.0]]
         op = csr_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         x = np.array([[1.0], [3.0]])
-        # h0 = (1, 3); one step at theta = 1/2 averages with the swap: (2, 2).
-        logits = forward_propagation(params, op, x, n_steps=1, theta=0.5).value
+        # x = (1, 3); one step at theta = 1/2 averages with the swap: (2, 2).
+        z = propagate_features(op, x, n_steps=1, theta=0.5)
+        logits = forward_propagation(params, z).value
         np.testing.assert_array_equal(logits, [[2.0, -2.0], [2.0, -2.0]])
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 10])
+    def test_precomputed_matches_iterated_recurrence(self, n_steps):
+        # Reference: the recurrence H <- (1 - theta) S H + theta H0 run on
+        # H0 = X W inside the graph, with S as a dense constant, so its
+        # gradients come from backward() through every step.
+        rng = np.random.default_rng(27)
+        n, theta = 9, 0.15
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        s = (a + a.T) / 2.0
+        x = rng.standard_normal((n, 4))
+        labels = rng.integers(0, 2, n)
+        mask = np.ones(n, dtype=bool)
+
+        def iterated(p):
+            h0 = ad.matmul(ad.constant(x), p.input_map)
+            h = h0
+            for _ in range(n_steps):
+                h = ad.add(ad.scale(ad.matmul(ad.constant(s), h), 1.0 - theta),
+                           ad.scale(h0, theta))
+            return ad.matmul(h, p.classifier)
+
+        z = propagate_features(csr_from_dense(s), x, n_steps, theta)
+        results = []
+        for forward in (iterated, lambda p: forward_propagation(p, z)):
+            params = init_propagation_params(np.random.default_rng(28), 4, 5, 2)
+            logits = forward(params)
+            ad.cross_entropy_masked(logits, labels, mask).backward()
+            results.append((logits.value, params.input_map.grad,
+                            params.classifier.grad))
+        for ref, got in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("theta", [-0.1, 1.5])
     def test_restart_weight_range(self, theta):
-        params = init_propagation_params(np.random.default_rng(21), 2, 2, 2)
         op = csr_from_dense(np.eye(3))
         with pytest.raises(ValueError):
-            forward_propagation(params, op, np.zeros((3, 2)), theta=theta)
+            propagate_features(op, np.zeros((3, 2)), theta=theta)
 
     def test_negative_steps_rejected(self):
-        params = init_propagation_params(np.random.default_rng(22), 2, 2, 2)
         op = csr_from_dense(np.eye(3))
         with pytest.raises(ValueError):
-            forward_propagation(params, op, np.zeros((3, 2)), n_steps=-1)
+            propagate_features(op, np.zeros((3, 2)), n_steps=-1)
 
 
 class TestInitialization:

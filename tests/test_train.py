@@ -14,6 +14,7 @@ from fairspectral.model import (
     forward_spectral,
     init_propagation_params,
     init_spectral_params,
+    propagate_features,
 )
 from fairspectral.sparse import csr_from_dense
 from fairspectral.train import (
@@ -105,12 +106,12 @@ class TestGradientAgreement:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((10, 3))
         labels = rng.integers(0, 2, 10)
-        op = csr_from_dense(np.eye(10) * 0.5)
+        z = propagate_features(csr_from_dense(np.eye(10) * 0.5), x, n_steps=3, theta=0.2)
         params = init_propagation_params(rng, 3, 4, 2)
         mask = np.ones(10, dtype=bool)
 
         def loss_fn():
-            logits = forward_propagation(params, op, x, n_steps=3, theta=0.2)
+            logits = forward_propagation(params, z)
             return ad.cross_entropy_masked(logits, labels, mask)
 
         exact = backward_gradients(loss_fn(), params)
@@ -168,10 +169,9 @@ class TestTrainingRun:
         params = init_propagation_params(rng, 3, 4, 2)
         x = np.zeros((12, 3))
         labels = rng.integers(0, 2, 12)
-        op = csr_from_dense(np.eye(12))
         history = train(
             params,
-            lambda p: forward_propagation(p, op, x, n_steps=0),
+            lambda p: forward_propagation(p, x),
             labels, np.zeros(12, int), np.ones(12, bool), np.ones(12, bool),
             TrainConfig(max_epochs=500, patience=7))
         assert history.best_epoch == 0
@@ -183,10 +183,9 @@ class TestTrainingRun:
         params = init_propagation_params(rng, 3, 4, 2)
         x = rng.standard_normal((10, 3))
         labels = rng.integers(0, 2, 10)
-        op = csr_from_dense(np.eye(10))
         with pytest.raises(TrainingDivergedError) as excinfo:
             train(params,
-                  lambda p: forward_propagation(p, op, x, n_steps=0),
+                  lambda p: forward_propagation(p, x),
                   labels, np.zeros(10, int), np.ones(10, bool), np.ones(10, bool),
                   TrainConfig(max_epochs=10, lr=1e308))
         err = excinfo.value
@@ -197,10 +196,9 @@ class TestTrainingRun:
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(12)
         params = init_propagation_params(rng, 3, 4, 2)
-        op = csr_from_dense(np.eye(4))
         with pytest.raises(ValueError):
             train(params,
-                  lambda p: forward_propagation(p, op, np.zeros((4, 3)), n_steps=0),
+                  lambda p: forward_propagation(p, np.zeros((4, 3))),
                   np.zeros(4, int), np.zeros(4, int),
                   np.zeros(4, bool), np.ones(4, bool))
 
