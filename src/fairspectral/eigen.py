@@ -24,6 +24,7 @@ the magnitude broken by lowest row index).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -195,16 +196,18 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
     compute a Wilkinson-style shift from the leading 2x2, and chase the bulge
     with Givens rotations while applying each rotation to the columns of z.
 
-    The rotation count grows quadratically with n, so the accumulation runs
-    on the transposed matrix (row slices are contiguous) with preallocated
-    scratch buffers; the per-rotation work is pure BLAS-1.
+    The scalar recurrence runs on Python lists of floats with math.hypot and
+    math.copysign: indexing a numpy array and calling a ufunc on one value
+    costs several times the arithmetic itself.  The rotation count grows
+    quadratically with n, so the accumulation runs on the transposed matrix
+    (row slices are contiguous) with preallocated scratch buffers; the
+    per-rotation work is pure BLAS-1.  d, e and z are not modified; the
+    eigenvalues come back as a float64 array.
     """
     n = d.shape[0]
-    d = d.copy()
-    e = e.copy()
-    eps = np.finfo(np.float64).eps
-    e[:-1] = e[1:]
-    e[-1] = 0.0
+    d = d.tolist()
+    e = e[1:].tolist() + [0.0]
+    eps = float(np.finfo(np.float64).eps)
     zt = np.ascontiguousarray(z.T)
     rot = np.empty((2, 2))
     buf = np.empty((2, n))
@@ -223,11 +226,11 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
             if sweeps > max_sweeps:
                 raise NoConvergenceError(
                     f"tridiagonal QL failed to deflate index {l} after {max_sweeps} sweeps",
-                    SpectralBasis(d, np.ascontiguousarray(zt.T), None),
+                    SpectralBasis(np.array(d), np.ascontiguousarray(zt.T), None),
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
             s = 1.0
             c = 1.0
             p = 0.0
@@ -235,7 +238,7 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = np.hypot(f, g)
+                r = math.hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -261,7 +264,7 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return d, np.ascontiguousarray(zt.T)
+    return np.array(d), np.ascontiguousarray(zt.T)
 
 
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,13 +318,15 @@ def _as_csr(op) -> CsrMatrix:
 
 
 def _orthogonalize_twice(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Remove the components of w along the columns of basis, twice.
+    """Remove the components of w along the rows of basis, twice.
 
-    One pass of classical Gram-Schmidt loses orthogonality when w is nearly
-    inside span(basis); the second pass restores it to machine precision.
+    basis holds orthonormal vectors as contiguous rows, so both products
+    stream it row by row.  One pass of classical Gram-Schmidt loses
+    orthogonality when w is nearly inside span(basis); the second pass
+    restores it to machine precision.
     """
     for _ in range(2):
-        w = w - basis @ (basis.T @ w)
+        w = w - (basis @ w) @ basis
     return w
 
 
@@ -340,6 +345,10 @@ def top_k_eigenpairs(
     residual direction.  A Ritz pair counts as converged once its residual
     estimate drops below tol times max(|theta|, spectral scale floor).
 
+    The Krylov basis is stored by rows, shape (m+1, n), so every basis
+    vector that feeds the operator, the Gram-Schmidt passes and the
+    restart is a contiguous row.
+
     max_iter bounds the total number of operator applications; exhausting it
     raises NoConvergenceError carrying the best basis and its residuals.
     Deterministic for fixed (op, k, tol, seed).
@@ -353,12 +362,12 @@ def top_k_eigenpairs(
     rng = np.random.default_rng(seed)
 
     m = min(n, max(2 * k + 10, 20))
-    v = np.zeros((n, m + 1))
+    v = np.zeros((m + 1, n))
     t = np.zeros((m + 1, m + 1))
 
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    v[:, 0] = v0
+    v[0] = v0
 
     locked = 0          # Ritz vectors kept across the last restart
     j = 0               # current basis size
@@ -372,14 +381,14 @@ def top_k_eigenpairs(
 
     def finalize(theta: np.ndarray, s: np.ndarray, size: int) -> SpectralBasis:
         take = min(k, size)
-        x = v[:, :size] @ s[:, :take]
-        # Gram-Schmidt cleanup; columns are near-orthonormal already.
+        x = s[:, :take].T @ v[:size]
+        # Gram-Schmidt cleanup; rows are near-orthonormal already.
         for c in range(take):
-            x[:, c] = _orthogonalize_twice(x[:, c], x[:, :c])
-            nrm = np.linalg.norm(x[:, c])
+            x[c] = _orthogonalize_twice(x[c], x[:c])
+            nrm = np.linalg.norm(x[c])
             if nrm > 0:
-                x[:, c] /= nrm
-        x = canonical_sign(x)
+                x[c] /= nrm
+        x = canonical_sign(x.T)
         lam = theta[:take].copy()
         resid = np.linalg.norm(a.matmat(x) - x * lam, axis=0)
         return SpectralBasis(lam, x, resid)
@@ -387,17 +396,17 @@ def top_k_eigenpairs(
     while True:
         # Extend the basis from j to m vectors.
         while j < m:
-            u = a.matvec(v[:, j])
+            u = a.matvec(v[j])
             matvecs += 1
             if j == locked and locked > 0:
                 # First step after a restart couples to every kept Ritz vector.
-                u -= v[:, :locked] @ t[:locked, j]
+                u -= t[:locked, j] @ v[:locked]
             elif j > 0:
-                u -= t[j - 1, j] * v[:, j - 1]
-            alpha = float(v[:, j] @ u)
+                u -= t[j - 1, j] * v[j - 1]
+            alpha = float(v[j] @ u)
             t[j, j] = alpha
-            u -= alpha * v[:, j]
-            u = _orthogonalize_twice(u, v[:, : j + 1])
+            u -= alpha * v[j]
+            u = _orthogonalize_twice(u, v[: j + 1])
             beta = float(np.linalg.norm(u))
             tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
             if beta <= tiny:
@@ -406,15 +415,15 @@ def top_k_eigenpairs(
                 t[j, j + 1] = 0.0
                 t[j + 1, j] = 0.0
                 fresh = rng.standard_normal(n)
-                fresh = _orthogonalize_twice(fresh, v[:, : j + 1])
+                fresh = _orthogonalize_twice(fresh, v[: j + 1])
                 nrm = np.linalg.norm(fresh)
                 j += 1
                 if nrm <= np.sqrt(np.finfo(np.float64).eps):
                     # The basis already spans the whole space.
                     break
-                v[:, j] = fresh / nrm
+                v[j] = fresh / nrm
             else:
-                v[:, j + 1] = u / beta
+                v[j + 1] = u / beta
                 t[j, j + 1] = beta
                 t[j + 1, j] = beta
                 j += 1
@@ -442,10 +451,8 @@ def top_k_eigenpairs(
         # Thick restart: keep the leading Ritz vectors, append the residual
         # direction, and rebuild the projected matrix as diagonal + arrow.
         keep = min(j - 1, max(k + min(k, 10), k + 2))
-        y = v[:, :j] @ s[:, :keep]
-        r_next = v[:, j].copy()
-        v[:, :keep] = y
-        v[:, keep] = r_next
+        v[:keep] = s[:, :keep].T @ v[:j]
+        v[keep] = v[j]
         t[: m + 1, : m + 1] = 0.0
         t[np.arange(keep), np.arange(keep)] = theta[:keep]
         coup = beta_last * s[j - 1, :keep]

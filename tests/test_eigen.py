@@ -15,6 +15,7 @@ from fairspectral.eigen import (
     DenseLimitError,
     NoConvergenceError,
     SpectralBasis,
+    _tql2,
     basis_to_json,
     canonical_sign,
     dense_symmetric_eig,
@@ -24,7 +25,8 @@ from fairspectral.eigen import (
     save_basis,
     top_k_eigenpairs,
 )
-from fairspectral.sparse import csr_from_dense
+from fairspectral.graph import Graph, normalize
+from fairspectral.sparse import csr_from_dense, csr_from_edges
 
 import json
 
@@ -40,6 +42,16 @@ def dense_prefix(a, k):
     """Leading k pairs of the full dense decomposition."""
     full = full_dense_eigendecomposition(a)
     return SpectralBasis(full.eigenvalues[:k], full.eigenvectors[:, :k])
+
+
+def graph_operator(n, edges, mode):
+    """The operator of an unlabeled graph on n nodes with the given edges."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    adjacency = csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]),
+                               np.ones(2 * edges.shape[0]))
+    zeros = np.zeros(n, dtype=np.int64)
+    return normalize(Graph(adjacency, np.zeros((n, 1)), zeros, zeros), mode)
 
 
 def subspace_angle(p, q):
@@ -120,6 +132,20 @@ class TestDenseRoute:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             full_dense_eigendecomposition(np.ones((2, 3)))
+
+    def test_ql_budget_exhaustion_carries_the_unrotated_state(self):
+        d = np.array([0.0, 2.0, 1.0, -1.0])
+        e = np.array([0.0, 0.5, 0.25, 0.75])
+        z = np.eye(4)[::-1].copy()
+        with pytest.raises(NoConvergenceError) as info:
+            _tql2(d, e, z, max_sweeps=0)
+        basis = info.value.basis
+        assert basis.eigenvalues.dtype == np.float64 and basis.eigenvalues.shape == (4,)
+        assert basis.eigenvectors.dtype == np.float64 and basis.eigenvectors.shape == (4, 4)
+        # No rotation ran: the carried state is the input, which stays untouched.
+        np.testing.assert_array_equal(basis.eigenvalues, d)
+        np.testing.assert_array_equal(basis.eigenvectors, z)
+        np.testing.assert_array_equal(e, [0.0, 0.5, 0.25, 0.75])
 
     def test_degenerate_case_sizes(self):
         w, v = dense_symmetric_eig(np.zeros((0, 0)))
@@ -208,6 +234,60 @@ class TestSparseAgainstDense:
         np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
         with pytest.raises(TypeError):
             top_k_eigenpairs(a, 2)
+
+
+class TestHardSpectra:
+    def test_multiplicity_above_k_on_disconnected_graph(self):
+        # Six disjoint 5-cycles: eigenvalue 1 of the "sym" operator has
+        # multiplicity 6 > k, and a Krylov space grown from one vector sees
+        # only the three distinct eigenvalues, so the iteration has to go
+        # on from fresh random directions.
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(6) for i in range(5)]
+        basis = top_k_eigenpairs(graph_operator(30, edges, "sym"), 4)
+        np.testing.assert_allclose(basis.eigenvalues, 1.0, rtol=0, atol=1e-12)
+        assert np.all(basis.residuals <= 1e-10)
+        p = basis.eigenvectors
+        assert np.max(np.abs(p.T @ p - np.eye(4))) <= 1e-12
+        # The eigenspace of 1 holds the vectors constant on each component.
+        assert np.max(np.ptp(p.reshape(6, 5, 4), axis=1)) <= 1e-10
+
+    def test_plus_minus_pairs_of_a_bipartite_graph_in_raw_mode(self):
+        # The raw adjacency of the 6-node path has the spectrum
+        # +-2cos(j pi / 7), j = 1..3.  Each tied pair comes positive first,
+        # and the negative partner is the positive eigenvector with the
+        # sign flipped on one side of the bipartition.
+        edges = [(i, i + 1) for i in range(5)]
+        basis = top_k_eigenpairs(graph_operator(6, edges, "raw"), 4)
+        top = 2.0 * np.cos(np.pi / 7.0)
+        second = 2.0 * np.cos(2.0 * np.pi / 7.0)
+        np.testing.assert_allclose(basis.eigenvalues, [top, -top, second, -second],
+                                   rtol=0, atol=1e-12)
+        assert basis.eigenvalues[0] > 0.0 and basis.eigenvalues[2] > 0.0
+        assert np.all(basis.residuals <= 1e-10)
+        flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        p = basis.eigenvectors
+        for i in (0, 2):
+            assert abs(abs(p[:, i + 1] @ (flip * p[:, i])) - 1.0) <= 1e-12
+
+    def test_edgeless_graph_in_raw_mode_is_the_zero_operator(self):
+        basis = top_k_eigenpairs(graph_operator(7, [], "raw"), 3)
+        np.testing.assert_array_equal(basis.eigenvalues, 0.0)
+        np.testing.assert_array_equal(basis.residuals, 0.0)
+        p = basis.eigenvectors
+        assert np.max(np.abs(p.T @ p - np.eye(3))) <= 1e-12
+
+    def test_k_equals_n_on_a_small_graph(self):
+        # Two triangles joined by one edge.  Swapping the two outer nodes of
+        # either triangle is a symmetry, so 0 is a double eigenvalue.
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
+        op = graph_operator(6, edges, "sym")
+        a = op.matrix.to_dense()
+        basis = top_k_eigenpairs(op, 6)
+        dense = full_dense_eigendecomposition(a)
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+        p = basis.eigenvectors
+        assert np.max(np.abs(p.T @ p - np.eye(6))) <= 1e-12
+        assert np.max(np.abs((p * basis.eigenvalues) @ p.T - a)) <= 1e-12
 
 
 class TestBasisContainer:

@@ -83,6 +83,17 @@ class TestProductsAgainstDense:
         x = rng.standard_normal((60, 7))
         np.testing.assert_allclose(m.matmat(x), a @ x, rtol=0, atol=1e-12)
 
+    def test_matmat_is_columnwise_matvec_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        a = random_masked_symmetric(rng, 50, density=0.1)
+        a[[3, 17, 40]] = 0.0
+        a[:, [3, 17, 40]] = 0.0
+        m = csr_from_dense(a)
+        assert np.any(np.diff(m.row_ptr) == 0)
+        x = rng.standard_normal((50, 6))
+        columns = np.column_stack([m.matvec(x[:, c]) for c in range(6)])
+        assert m.matmat(x).tobytes() == columns.tobytes()
+
     def test_empty_rows_stay_zero(self):
         # Row 1 has no entries; reduceat would misattribute it without the
         # explicit empty-row masking.
