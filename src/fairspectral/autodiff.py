@@ -4,11 +4,11 @@ Just enough machinery to train the models in this package: a Tensor wraps a
 float64 array and remembers how it was produced; ``backward`` walks the tape
 in reverse topological order and accumulates vector-Jacobian products into
 every tensor marked as a parameter.  The op set is closed, small and dense:
-matmul, add, subtract, elementwise multiply (both with numpy-style
-broadcasting), scale, concat and slice over columns, transpose, relu, row
-softmax, layer norm, and a masked cross-entropy head.  Anything a model
-needs must be phrased in these; constant inputs such as propagated features
-are computed outside the graph.
+matmul, add and elementwise multiply (both with numpy-style broadcasting),
+scale, concat and slice over columns, transpose, relu, row softmax, layer
+norm, and a masked cross-entropy head.  Anything a model needs must be
+phrased in these; constant inputs such as propagated features are computed
+outside the graph.
 
 Gradients for broadcast ops are reduced back to the parent shape by summing
 the broadcast axes.  Graphs are built eagerly and are deterministic: the
@@ -111,14 +111,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a.value + b.value,
         (a, b),
         (lambda g: _unbroadcast(g, a.value.shape), lambda g: _unbroadcast(g, b.value.shape)),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
-        a.value - b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape), lambda g: _unbroadcast(-g, b.value.shape)),
     )
 
 

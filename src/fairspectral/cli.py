@@ -42,7 +42,6 @@ from .config import (
     run_digest,
 )
 from .convergence import (
-    CLAIM_NAMES,
     GenerationError,
     verify_decay_rate,
     verify_degenerate_top_bound,
@@ -146,7 +145,7 @@ def _load_graph_dir(path: str, with_splits: bool) -> Graph:
         split_path = root / _SPLIT_FILE
         if not split_path.is_file():
             raise CliError(f"missing split file: {split_path}")
-        g = g.with_splits(SplitMasks.from_json(split_path.read_text()))
+        g = g.with_splits(SplitMasks.from_json(split_path.read_text(), g.n))
     return g
 
 
@@ -194,7 +193,7 @@ def _cmd_eig(s: dict) -> int:
         if s["k"] > g.n:
             raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
         basis = full_dense_eigendecomposition(
-            op.matrix.to_dense(), dense_limit=s["dense_limit"]
+            op.to_dense(), dense_limit=s["dense_limit"]
         )
         method = "dense-full"
         if s["k"] < basis.k:
@@ -272,7 +271,7 @@ def _cmd_train(s: dict) -> int:
         forward = lambda p: forward_spectral(p, basis, g.features)
     else:
         params = init_propagation_params(rng, g.features.shape[1], s["hidden"], 2)
-        propagated = propagate_features(op.matrix, g.features, s["steps"], s["theta"])
+        propagated = propagate_features(op, g.features, s["steps"], s["theta"])
         forward = lambda p: forward_propagation(p, propagated)
     history = train(
         params, forward, g.labels, g.sensitive, g.train_mask, g.val_mask,
@@ -349,7 +348,7 @@ def _bench_runtime(s: dict) -> dict:
         top_k_eigenpairs(op, s["k"], seed=seed)
         topk_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        full_dense_eigendecomposition(op.matrix.to_dense(), dense_limit=max(s["n"], 1))
+        full_dense_eigendecomposition(op.to_dense(), dense_limit=max(s["n"], 1))
         full_s = time.perf_counter() - t0
         rows.append({"seed": seed, "topk_seconds": topk_s, "full_seconds": full_s})
         print(f"seed {seed}: topk {topk_s:.3f}s, full {full_s:.3f}s")

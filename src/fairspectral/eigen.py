@@ -23,7 +23,6 @@ the magnitude broken by lowest row index).
 """
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -308,15 +307,6 @@ def full_dense_eigendecomposition(
     return SpectralBasis(w, v, resid)
 
 
-def _as_csr(op) -> CsrMatrix:
-    if isinstance(op, CsrMatrix):
-        return op
-    matrix = getattr(op, "matrix", None)
-    if isinstance(matrix, CsrMatrix):
-        return matrix
-    raise TypeError(f"expected a CsrMatrix or an operator wrapping one, got {type(op)!r}")
-
-
 def _orthogonalize_twice(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Remove the components of w along the rows of basis, twice.
 
@@ -331,13 +321,16 @@ def _orthogonalize_twice(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def top_k_eigenpairs(
-    op,
+    op: CsrMatrix,
     k: int,
     tol: float = 1e-10,
     max_iter: int = 10000,
     seed: int = 0,
 ) -> SpectralBasis:
-    """Top-k eigenpairs by |lambda| of a symmetric sparse operator.
+    """Top-k eigenpairs by |lambda| of a symmetric sparse matrix.
+
+    op is a CsrMatrix, such as the operator that graph.normalize returns;
+    anything else raises TypeError.
 
     Thick-restart Lanczos with full reorthogonalization.  Each cycle extends
     the basis to m vectors, solves the projected problem with the dense
@@ -353,8 +346,9 @@ def top_k_eigenpairs(
     raises NoConvergenceError carrying the best basis and its residuals.
     Deterministic for fixed (op, k, tol, seed).
     """
-    a = _as_csr(op)
-    n = a.n
+    if not isinstance(op, CsrMatrix):
+        raise TypeError(f"expected a CsrMatrix, got {type(op)!r}")
+    n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if tol <= 0.0:
@@ -390,13 +384,13 @@ def top_k_eigenpairs(
                 x[c] /= nrm
         x = canonical_sign(x.T)
         lam = theta[:take].copy()
-        resid = np.linalg.norm(a.matmat(x) - x * lam, axis=0)
+        resid = np.linalg.norm(op.matmat(x) - x * lam, axis=0)
         return SpectralBasis(lam, x, resid)
 
     while True:
         # Extend the basis from j to m vectors.
         while j < m:
-            u = a.matvec(v[j])
+            u = op.matvec(v[j])
             matvecs += 1
             if j == locked and locked > 0:
                 # First step after a restart couples to every kept Ritz vector.
@@ -494,24 +488,3 @@ def load_basis(path) -> SpectralBasis:
     eigenvectors = vec.reshape((n, k), order="F").copy()
     return SpectralBasis(eigenvalues, eigenvectors, None)
 
-
-def basis_to_json(basis: SpectralBasis) -> str:
-    """Readable JSON export, meant for small instances."""
-    doc = {
-        "n": basis.n,
-        "k": basis.k,
-        "eigenvalues": basis.eigenvalues.tolist(),
-        "eigenvectors": basis.eigenvectors.tolist(),
-        "residuals": None if basis.residuals is None else basis.residuals.tolist(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def basis_from_json(text: str) -> SpectralBasis:
-    doc = json.loads(text)
-    resid = doc.get("residuals")
-    return SpectralBasis(
-        np.asarray(doc["eigenvalues"], dtype=np.float64),
-        np.asarray(doc["eigenvectors"], dtype=np.float64),
-        None if resid is None else np.asarray(resid, dtype=np.float64),
-    )

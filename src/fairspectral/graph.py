@@ -19,7 +19,7 @@ OPERATOR_MODES = ("sym", "raw")
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge list or node table."""
+    """Malformed edge list, node table or split file."""
 
 
 class SplitError(ValueError):
@@ -67,7 +67,7 @@ class Graph:
         diag = _diagonal_entries(self.adjacency)
         if np.any(diag != 0.0):
             raise ValueError("adjacency must not contain self loops")
-        if self.adjacency.n <= 5000 and not is_symmetric(self.adjacency):
+        if not is_symmetric(self.adjacency):
             raise ValueError("adjacency must be symmetric")
         for arr in (self.features, self.sensitive, self.labels, self.train_mask, self.val_mask, self.test_mask):
             arr.flags.writeable = False
@@ -77,42 +77,12 @@ class Graph:
         return self.adjacency.n
 
     @property
-    def num_features(self) -> int:
-        return int(self.features.shape[1])
-
-    @property
     def edge_count(self) -> int:
         """Stored directed entries; an undirected edge counts twice."""
         return self.adjacency.nnz
 
     def with_splits(self, splits: "SplitMasks") -> "Graph":
         return replace(self, train_mask=splits.train, val_mask=splits.val, test_mask=splits.test)
-
-
-@dataclass(frozen=True)
-class NormalizedOperator:
-    """A symmetric operator derived from an adjacency, tagged with its mode.
-
-    mode "sym": D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I; the
-    spectrum lies in [-1, 1].  mode "raw": the adjacency itself.
-    """
-
-    matrix: CsrMatrix
-    mode: str
-
-    def __post_init__(self) -> None:
-        if self.mode not in OPERATOR_MODES:
-            raise ValueError(f"mode must be one of {OPERATOR_MODES}, got {self.mode!r}")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.matvec(x)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.matmat(x)
 
 
 @dataclass(frozen=True)
@@ -131,13 +101,31 @@ class SplitMasks:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "SplitMasks":
-        doc = json.loads(text)
-        n = int(doc["n"])
+    def from_json(text: str, n: int) -> "SplitMasks":
+        """Parse the split file of a graph with n nodes.
+
+        The file is a JSON object whose "n" equals the graph's node count
+        and whose "train", "val" and "test" lists hold integer node ids in
+        [0, n).  Anything else raises GraphFormatError.
+        """
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"split file is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise GraphFormatError("split file must hold a JSON object")
+        for key in ("n", "train", "val", "test"):
+            if key not in doc:
+                raise GraphFormatError(f"split file has no key {key!r}")
+        if type(doc["n"]) is not int or doc["n"] != n:  # bool is an int subclass
+            raise GraphFormatError(f"split file n must be the node count {n}, got {doc['n']!r}")
         masks = []
         for name in ("train", "val", "test"):
+            ids = doc[name]
+            if not isinstance(ids, list) or not all(type(i) is int and 0 <= i < n for i in ids):
+                raise GraphFormatError(f"split file {name!r} must list integer node ids in [0, {n})")
             m = np.zeros(n, dtype=bool)
-            m[np.asarray(doc[name], dtype=np.int64)] = True
+            m[np.asarray(ids, dtype=np.int64)] = True
             masks.append(m)
         return SplitMasks(*masks)
 
@@ -214,9 +202,9 @@ def load_graph(
     label_pos = names.index(label_column)
     sens_pos = names.index(sensitive_column)
     raw_labels = rows[:, label_pos]
-    if np.any(raw_labels != np.round(raw_labels)) or np.any(raw_labels < 0):
+    if not np.all(np.isfinite(raw_labels) & (raw_labels == np.round(raw_labels)) & (raw_labels >= 0)):
         raise GraphFormatError("label column must contain non-negative integers")
-    labels = np.minimum(raw_labels.astype(np.int64), 1)
+    labels = np.minimum(raw_labels, 1.0).astype(np.int64)
     sensitive = rows[:, sens_pos]
     if not np.isin(sensitive, (0.0, 1.0)).all():
         raise GraphFormatError("sensitive column must be binary")
@@ -279,18 +267,18 @@ def _pairs_to_adjacency(n: int, pairs: np.ndarray) -> CsrMatrix:
     return csr_from_edges(n, rows, cols, np.ones(rows.shape[0]))
 
 
-def normalize(g: Graph, mode: str = "sym") -> NormalizedOperator:
+def normalize(g: Graph, mode: str = "sym") -> CsrMatrix:
     """Build the propagation operator for a graph.
 
-    "raw" returns the stored adjacency unchanged (same buffers).  "sym"
-    adds a self loop to every node and scales symmetrically by the degree,
-    which keeps the spectrum inside [-1, 1].
+    "sym": D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, a new
+    matrix whose spectrum lies in [-1, 1].  "raw": the stored adjacency
+    itself, the same object with the same buffers.
     """
     if mode == "raw":
-        return NormalizedOperator(g.adjacency, "raw")
+        return g.adjacency
     if mode != "sym":
         raise ValueError(f"mode must be one of {OPERATOR_MODES}, got {mode!r}")
-    return NormalizedOperator(_sym_normalize(g.adjacency), "sym")
+    return _sym_normalize(g.adjacency)
 
 
 def _sym_normalize(a: CsrMatrix) -> CsrMatrix:

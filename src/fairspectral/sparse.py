@@ -74,11 +74,6 @@ class CsrMatrix:
         out[rows, self.col_idx] = self.values
         return out
 
-    def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row i."""
-        a, b = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[a:b], self.values[a:b]
-
 
 def _product(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """A @ x for a checked length-n vector: gather, scale, segment-sum into

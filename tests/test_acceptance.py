@@ -2,15 +2,17 @@
 
 Each test prints a single summary line with its measured values; run with
 ``-rA`` (the configured default) to see every line in the PASSES section.
-The slow checks build the same default synthetic graphs the command line
-produces, so the whole file is deterministic end to end.  Expect a few
-minutes of wall time; everything else in the suite stays fast.
+The slow checks (criteria 8, 9 and 10, marked ``slow``) build the same
+default synthetic graphs the command line produces, so the whole file is
+deterministic end to end.  Expect a few minutes of wall time; everything
+else in the suite stays fast, and ``pytest -m "not slow"`` skips the three.
 """
 
 import itertools
 import time
 
 import numpy as np
+import pytest
 
 from fairspectral import autodiff as ad
 from fairspectral.convergence import (
@@ -217,6 +219,7 @@ def test_criterion_07_filter_identity_and_rank():
     assert worst_rank_leak <= 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_08_fairness_utility_tradeoff():
     # Five seeds of the default biased graph; the spectral model must at
     # least halve the parity gap of the smoothing baseline without giving
@@ -240,7 +243,7 @@ def test_criterion_08_fairness_utility_tradeoff():
 
         rng = np.random.default_rng(1000 + seed)
         pb = init_propagation_params(rng, x.shape[1], 16, 2)
-        z = propagate_features(op.matrix, x, n_steps=10, theta=0.1)
+        z = propagate_features(op, x, n_steps=10, theta=0.1)
         fwd = lambda p: forward_propagation(p, z)
         train(pb, fwd, y, s, tr, va, cfg_train)
         rb = evaluate(fwd(pb).value, y, s, te)
@@ -259,6 +262,7 @@ def test_criterion_08_fairness_utility_tradeoff():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_09_parity_gap_grows_with_basis_size():
     # Deterministic sweep over every basis size on three default graphs:
     # the mean parity gap with K <= 10 components must sit strictly below
@@ -278,7 +282,7 @@ def test_criterion_09_parity_gap_grows_with_basis_size():
         g = generate_sbm(SbmConfig(seed=seed))
         g = g.with_splits(make_splits(g, seed))
         op = normalize(g, "sym")
-        full = full_dense_eigendecomposition(op.matrix.to_dense(), dense_limit=2048)
+        full = full_dense_eigendecomposition(op.to_dense(), dense_limit=2048)
         x, y, s = g.features, g.labels, g.sensitive
         tr, va, te = g.train_mask, g.val_mask, g.test_mask
         for k in small_ks + large_ks:
@@ -299,6 +303,7 @@ def test_criterion_09_parity_gap_grows_with_basis_size():
     assert mean_small < mean_large
 
 
+@pytest.mark.slow
 def test_criterion_10_truncated_route_scales_past_dense():
     rng = np.random.default_rng(1010)
     n = 20000
@@ -318,7 +323,7 @@ def test_criterion_10_truncated_route_scales_past_dense():
     g = generate_sbm(SbmConfig(seed=0))
     op = normalize(g, "sym")
     t0 = time.perf_counter()
-    full = full_dense_eigendecomposition(op.matrix.to_dense(), dense_limit=2048)
+    full = full_dense_eigendecomposition(op.to_dense(), dense_limit=2048)
     t_dense = time.perf_counter() - t0
     assert full.k == 2000
     t0 = time.perf_counter()

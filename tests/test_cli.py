@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairspectral import eigen
 from fairspectral.cli import main
@@ -21,6 +23,17 @@ def gen_graph(tmp_path, name="data", n=60, extra=()):
                "--seed", "1", "--out", str(out), *extra)
     assert code == 0
     return out
+
+
+def alias_node(doc, node, bad):
+    """Write bad where the split file lists node, so that a parser wrapping
+    -1 to n - 1 or truncating 0.5 to 0 would accept the file."""
+    for name in ("train", "val", "test"):
+        if node in doc[name]:
+            doc[name][doc[name].index(node)] = bad
+            return doc
+    doc["train"].append(bad)
+    return doc
 
 
 class TestParserBasics:
@@ -271,6 +284,22 @@ class TestTrain:
         assert code == 1
         assert "missing split file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: {k: v for k, v in doc.items() if k != "n"},
+        lambda doc: {**doc, "train": doc["train"] + [doc["n"]]},
+        lambda doc: doc["train"],
+        lambda doc: alias_node(doc, doc["n"] - 1, -1),
+        lambda doc: alias_node(doc, 0, 0.5),
+    ], ids=["missing-n", "id-at-n", "top-level-list", "negative-id", "fractional-id"])
+    def test_malformed_splits_is_usage_error(self, tmp_path, capsys, corrupt):
+        data = gen_graph(tmp_path)
+        split_path = data / "splits.json"
+        split_path.write_text(json.dumps(corrupt(json.loads(split_path.read_text()))))
+        code, out = self.run_train(tmp_path, data)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: split file")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numerical_failure(self, tmp_path, capsys):
         data = gen_graph(tmp_path)
@@ -308,3 +337,144 @@ class TestBench:
     def test_malformed_k_values(self, bad):
         assert run("bench", "--suite", "ksweep", "--k-values", bad,
                    "--seeds", "0") == 1
+
+
+# A valid 8-node graph; each property below corrupts one of its three files.
+N_NODES = 8
+EDGE_LINES = ["# ring"] + [f"{i} {(i + 1) % N_NODES}" for i in range(N_NODES)] + [""]
+NODE_HEADER = ["sensitive", "x1", "label"]
+NODE_ROWS = [[str(i % 2), repr(0.25 * i), str((i // 2) % 2)] for i in range(N_NODES)]
+SPLITS = {"n": N_NODES, "train": [0, 1, 2, 3], "val": [4, 5], "test": [6, 7]}
+
+# Neither int() nor float() parses these: no digits, and no letters of
+# "inf" or "nan".
+WORD = st.text(alphabet="abxyz.", min_size=1, max_size=4)
+NODE_ID = st.integers(0, N_NODES - 1)
+OUT_OF_RANGE_ID = st.one_of(st.integers(max_value=-1), st.integers(min_value=N_NODES))
+NOT_AN_ID = st.one_of(OUT_OF_RANGE_ID, st.floats(), WORD, st.booleans(), st.none())
+NOT_A_LIST = st.one_of(st.integers(), st.floats(), WORD, st.none(),
+                       st.dictionaries(WORD, st.integers(), max_size=2))
+NOT_JSON_OBJECT = st.one_of(st.lists(st.integers(), max_size=3), st.integers(),
+                            st.floats(), WORD, st.booleans(), st.none())
+WRONG_N = st.one_of(st.integers().filter(lambda n: n != N_NODES), st.just(float(N_NODES)),
+                    WORD, st.booleans(), st.none())
+
+BAD_EDGE_LINE = st.one_of(
+    st.builds(str, NODE_ID),
+    st.builds("{} {} {}".format, NODE_ID, NODE_ID, NODE_ID),
+    st.builds("{} {}".format, NODE_ID, WORD),
+    st.builds("{} {}".format, WORD, NODE_ID),
+    st.builds("{} {}".format, NODE_ID, OUT_OF_RANGE_ID),
+    st.builds("{} {}".format, OUT_OF_RANGE_ID, NODE_ID),
+)
+
+
+@st.composite
+def bad_edge_lists(draw):
+    lines = list(EDGE_LINES)
+    lines.insert(draw(st.integers(0, len(lines))), draw(BAD_EDGE_LINE))
+    return "\n".join(lines)
+
+
+@st.composite
+def bad_node_tables(draw):
+    header, rows = list(NODE_HEADER), [list(r) for r in NODE_ROWS]
+    row = rows[draw(st.integers(0, N_NODES - 1))]
+    kind = draw(st.sampled_from(
+        ["extra-cell", "missing-cell", "word", "sensitive", "label", "header", "empty"]))
+    if kind == "extra-cell":
+        row.append(str(draw(st.integers())))
+    elif kind == "missing-cell":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "word":
+        row[draw(st.integers(0, len(row) - 1))] = draw(WORD)
+    elif kind == "sensitive":
+        row[0] = repr(draw(st.floats().filter(lambda x: x not in (0.0, 1.0))))
+    elif kind == "label":
+        row[2] = repr(draw(st.one_of(
+            st.integers(max_value=-1),
+            st.floats().filter(lambda x: x < 0 or not x.is_integer()))))
+    elif kind == "header":
+        header[draw(st.sampled_from([0, 2]))] = draw(WORD)
+    else:
+        return draw(st.sampled_from(["", ",".join(header) + "\n"]))
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+@st.composite
+def bad_split_files(draw):
+    doc = {k: list(v) if isinstance(v, list) else v for k, v in SPLITS.items()}
+    kind = draw(st.sampled_from(
+        ["junk-text", "not-object", "missing-key", "wrong-n", "not-a-list", "bad-id", "overlap"]))
+    name = draw(st.sampled_from(["train", "val", "test"]))
+    if kind == "junk-text":
+        return draw(st.text(alphabet="{}[]:,ab", max_size=6))
+    if kind == "not-object":
+        doc = draw(NOT_JSON_OBJECT)
+    elif kind == "missing-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "wrong-n":
+        doc["n"] = draw(WRONG_N)
+    elif kind == "not-a-list":
+        doc[name] = draw(NOT_A_LIST)
+    elif kind == "bad-id":
+        doc[name].insert(draw(st.integers(0, len(doc[name]))), draw(NOT_AN_ID))
+    else:
+        doc["train"].append(draw(st.sampled_from(doc["val"] + doc["test"])))
+    return json.dumps(doc)
+
+
+def write_inputs(root, edges=None, nodes=None, splits=None):
+    """Write the valid graph into root, with any given file text replacing its part."""
+    root.mkdir(exist_ok=True)
+    table = "\n".join(",".join(r) for r in [NODE_HEADER] + NODE_ROWS) + "\n"
+    (root / "edges.txt").write_text("\n".join(EDGE_LINES) if edges is None else edges)
+    (root / "nodes.csv").write_text(table if nodes is None else nodes)
+    (root / "splits.json").write_text(json.dumps(SPLITS) if splits is None else splits)
+    return root
+
+
+class TestMalformedInputsExitCleanly:
+    """Any malformed edge list, node table or split file ends in exit 1 and
+    an "error:" line on stderr, never a traceback.  The examples rewrite
+    all three files in the same directory, so sharing tmp_path is safe."""
+
+    def assert_usage_error(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert any(ln.startswith("error:") for ln in capsys.readouterr().err.splitlines())
+
+    def eig_argv(self, root):
+        return ["eig", "--graph", str(root), "--k", "2", "--out", str(root / "basis.bin")]
+
+    def train_argv(self, root):
+        return ["train", "--graph", str(root), "--k", "2", "--epochs", "1",
+                "--hidden", "4", "--layers", "1", "--encode-dim", "4",
+                "--out", str(root / "runs")]
+
+    def test_valid_inputs_succeed(self, tmp_path):
+        root = write_inputs(tmp_path / "g")
+        assert main(self.eig_argv(root)) == 0
+        assert main(self.train_argv(root)) == 0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad_edge_lists())
+    def test_edge_list(self, tmp_path, capsys, edges):
+        root = write_inputs(tmp_path / "g", edges=edges)
+        self.assert_usage_error(capsys, self.eig_argv(root))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad_node_tables())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_node_table(self, tmp_path, capsys, nodes):
+        root = write_inputs(tmp_path / "g", nodes=nodes)
+        self.assert_usage_error(capsys, self.eig_argv(root))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad_split_files())
+    def test_split_file(self, tmp_path, capsys, splits):
+        root = write_inputs(tmp_path / "g", splits=splits)
+        self.assert_usage_error(capsys, self.train_argv(root))

@@ -62,6 +62,12 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(csr_from_edges(2, [0], [1], [1.0]), np.zeros((2, 1)), [0, 1], [0, 1])
 
+    def test_asymmetric_adjacency_rejected_at_any_size(self):
+        n = 5001
+        zeros = np.zeros(n, dtype=np.int64)
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(csr_from_edges(n, [0], [n - 1], [1.0]), np.zeros((n, 1)), zeros, zeros)
+
     def test_non_binary_sensitive_rejected(self):
         with pytest.raises(ValueError):
             Graph(empty_adjacency(2), np.zeros((2, 1)), [0, 2], [0, 1])
@@ -115,7 +121,7 @@ class TestLoadGraph:
     def test_sensitive_column_stays_in_features(self, tmp_path):
         edges, nodes = write_graph_files(tmp_path, "0 1\n", NODES_4)
         g = load_graph(edges, nodes, "sensitive", "label")
-        assert g.num_features == 2
+        assert g.features.shape[1] == 2
         np.testing.assert_array_equal(g.features[:, 0], g.sensitive)
         np.testing.assert_allclose(g.features[:, 1], [0.5, -0.25, 2.0, 0.125])
 
@@ -160,6 +166,7 @@ class TestLoadGraph:
             "sensitive,x1,label\n2,1.0,0\n",            # non-binary sensitive
             "sensitive,x1,label\n0,1.0,-1\n",           # negative label
             "sensitive,x1,label\n0,1.0,0.5\n",          # fractional label
+            "sensitive,x1,label\n0,1.0,inf\n",          # infinite label
             "",                                          # empty table
         ],
     )
@@ -179,13 +186,12 @@ class TestNormalize:
         g = Graph(csr_from_edges(2, [0, 1], [1, 0], [1.0, 1.0]),
                   np.zeros((2, 1)), [0, 1], [0, 1])
         op = normalize(g, "sym")
-        np.testing.assert_allclose(op.matrix.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(op.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_raw_mode_shares_buffers(self):
         g = tiny_graph()
         op = normalize(g, "raw")
-        assert op.matrix is g.adjacency
-        assert op.mode == "raw"
+        assert op is g.adjacency
 
     def test_triangle_top_eigenvalue_is_one(self):
         rows = [0, 0, 1, 1, 2, 2]
@@ -193,13 +199,13 @@ class TestNormalize:
         g = Graph(csr_from_edges(3, rows, cols, np.ones(6)),
                   np.zeros((3, 1)), [0, 1, 0], [0, 1, 0])
         op = normalize(g, "sym")
-        basis = full_dense_eigendecomposition(op.matrix.to_dense())
+        basis = full_dense_eigendecomposition(op.to_dense())
         np.testing.assert_allclose(basis.eigenvalues[0], 1.0, atol=1e-12)
 
     def test_isolated_node_gets_unit_diagonal(self):
         g = Graph(csr_from_edges(3, [0, 1], [1, 0], [1.0, 1.0]),
                   np.zeros((3, 1)), [0, 1, 0], [0, 1, 0])
-        dense = normalize(g, "sym").matrix.to_dense()
+        dense = normalize(g, "sym").to_dense()
         assert dense[2, 2] == 1.0
 
     def test_spectrum_bounded_by_one(self):
@@ -219,7 +225,7 @@ class TestNormalize:
         a_hat = a + np.eye(60)
         d = a_hat.sum(axis=1)
         expected = a_hat / np.sqrt(np.outer(d, d))
-        got = normalize(g, "sym").matrix.to_dense()
+        got = normalize(g, "sym").to_dense()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
@@ -272,7 +278,7 @@ class TestMakeSplits:
     def test_mask_json_roundtrip(self):
         g = tiny_graph(20)
         s = make_splits(g, seed=5)
-        doc = SplitMasks.from_json(s.to_json())
+        doc = SplitMasks.from_json(s.to_json(), g.n)
         np.testing.assert_array_equal(doc.train, s.train)
         np.testing.assert_array_equal(doc.val, s.val)
         np.testing.assert_array_equal(doc.test, s.test)
@@ -314,7 +320,7 @@ class TestGenerateSbm:
     def test_first_feature_column_is_sensitive(self):
         g = generate_sbm(SbmConfig(n=150, seed=2))
         np.testing.assert_array_equal(g.features[:, 0], g.sensitive)
-        assert g.num_features == 8
+        assert g.features.shape[1] == 8
 
     def test_both_label_classes_present(self):
         g = generate_sbm(SbmConfig(n=400, seed=3))
