@@ -8,8 +8,7 @@ Subcommands:
   claims and report verdicts.
 * ``train``: fit the spectral or the propagation model and report accuracy
   and fairness gaps on the held-out split.
-* ``bench``: compare fairness across basis sizes, or compare the runtime of
-  the truncated eigensolver against the full dense decomposition.
+* ``bench``: compare fairness across basis sizes.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (non-convergence, divergence, size guard), 3 verification failure (a claim
@@ -123,14 +122,6 @@ def _settings(args: argparse.Namespace) -> dict:
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def _emit(payload: dict, out: str) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        _write(Path(out), text + "\n")
-    else:
-        print(text)
 
 
 def _load_graph_dir(path: str, with_splits: bool) -> Graph:
@@ -338,37 +329,10 @@ def _bench_ksweep(s: dict) -> dict:
     return {"suite": "ksweep", "n": s["n"], "results": results}
 
 
-def _bench_runtime(s: dict) -> dict:
-    seeds = _int_list(s["seeds"], "seeds")
-    rows = []
-    for seed in seeds:
-        g = generate_sbm(SbmConfig(n=s["n"], seed=seed))
-        op = normalize(g, "sym")
-        t0 = time.perf_counter()
-        top_k_eigenpairs(op, s["k"], seed=seed)
-        topk_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        full_dense_eigendecomposition(op.to_dense(), dense_limit=max(s["n"], 1))
-        full_s = time.perf_counter() - t0
-        rows.append({"seed": seed, "topk_seconds": topk_s, "full_seconds": full_s})
-        print(f"seed {seed}: topk {topk_s:.3f}s, full {full_s:.3f}s")
-    return {
-        "suite": "runtime",
-        "n": s["n"],
-        "k": s["k"],
-        "topk_mean_seconds": float(np.mean([r["topk_seconds"] for r in rows])),
-        "full_mean_seconds": float(np.mean([r["full_seconds"] for r in rows])),
-        "runs": rows,
-    }
-
-
 def _cmd_bench(s: dict) -> int:
-    if s["suite"] == "ksweep":
-        payload = _bench_ksweep(s)
-    elif s["suite"] == "runtime":
-        payload = _bench_runtime(s)
-    else:
-        raise CliError(f"suite must be ksweep or runtime, got {s['suite']!r}")
+    if s["suite"] != "ksweep":
+        raise CliError(f"suite must be ksweep, got {s['suite']!r}")
+    payload = _bench_ksweep(s)
     if s["out"]:
         _write(Path(s["out"]), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -393,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             GenerationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CliError, ConfigError, GraphFormatError, ValueError) as exc:
+    except (CliError, ConfigError, GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

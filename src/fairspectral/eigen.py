@@ -10,11 +10,13 @@ Two independent routes to the same quantities:
     sparse operators where only a few extremal pairs are needed.
 
 ``full_dense_eigendecomposition``
-    Classical dense path: Householder reduction to tridiagonal form with
-    accumulation of the orthogonal transform, then implicit-shift QL on
-    the tridiagonal matrix.  Quadratic storage, cubic time, all n pairs.
-    Serves as the reference the sparse route is checked against, and as
-    the small-problem solver inside the Lanczos restarts.
+    Classical dense path, split as in LAPACK: Householder reduction to
+    tridiagonal form T = Q^T A Q, implicit-shift QL for the eigenvalues of
+    T, inverse iteration on all shifts at once for the eigenvectors of T,
+    and a compact-WY back-transform that applies Q without forming it.
+    Quadratic storage, cubic time, all n pairs.  Serves as the reference
+    the sparse route is checked against, and as the small-problem solver
+    inside the Lanczos restarts.
 
 Both routes order eigenpairs by decreasing |lambda|, breaking exact-magnitude
 ties toward the positive eigenvalue, and canonicalize eigenvector signs so
@@ -122,94 +124,85 @@ def magnitude_order(eigenvalues: np.ndarray, tie_tol: float = 1e-12) -> np.ndarr
     return order
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Householder reduction of a symmetric matrix to tridiagonal form.
 
-    Returns (d, e, q): diagonal, subdiagonal (e[0] unused), and the
-    accumulated orthogonal matrix with q.T @ a @ q tridiagonal.  Classical
-    tred2 with the inner loops replaced by rank-2 BLAS updates; the
-    Householder vectors are parked in the rows/columns of the workspace
-    exactly as in the textbook formulation so that the accumulation pass can
-    replay them in reverse.
+    Returns (d, e, z, h): diagonal, subdiagonal (e[0] unused), and the
+    reflectors: step i leaves u_i in z[i, :i] and h[i] = |u_i|^2 / 2, so
+    P_i = I - u_i u_i^T / h[i] (h[i] == 0: no reflection).  With
+    Q = P_{n-1} ... P_2, Q^T a Q is tridiagonal; _apply_q applies Q.
+    Classical tred2 with the inner loops replaced by rank-2 BLAS updates.
     """
     z = np.array(a, dtype=np.float64, copy=True)
     n = z.shape[0]
-    d = np.zeros(n)
     e = np.zeros(n)
+    hs = np.zeros(n)
     scratch = np.empty((n, n))
     lhs = np.empty((n, 2))
     rhs = np.empty((2, n))
     for i in range(n - 1, 0, -1):
         l = i - 1
-        h = 0.0
-        if l > 0:
-            scale = float(np.sum(np.abs(z[i, :i])))
-            if scale == 0.0:
-                e[i] = z[i, l]
-            else:
-                z[i, :i] /= scale
-                u = z[i, :i]
-                h = float(u @ u)
-                f = u[l]
-                g = -np.copysign(np.sqrt(h), f)
-                e[i] = scale * g
-                h -= f * g
-                z[i, l] = f - g
-                u = z[i, :i]
-                z[:i, i] = u / h
-                p = (z[:i, :i] @ u) / h
-                k = float(u @ p) / (2.0 * h)
-                q = p - k * u
-                # Rank-2 update as one GEMM into scratch to avoid the
-                # temporaries np.outer would allocate each step.
-                lhs[:i, 0] = q
-                lhs[:i, 1] = u
-                rhs[0, :i] = u
-                rhs[1, :i] = q
-                np.matmul(lhs[:i], rhs[:, :i], out=scratch[:i, :i])
-                z[:i, :i] -= scratch[:i, :i]
-        else:
+        scale = float(np.sum(np.abs(z[i, :i]))) if l > 0 else 0.0
+        if scale == 0.0:
             e[i] = z[i, l]
-        d[i] = h
-    d[0] = 0.0
-    e[0] = 0.0
-    for i in range(n):
-        if d[i] != 0.0:
-            g = z[i, :i] @ z[:i, :i]
-            np.multiply(z[:i, i, None], g[None, :], out=scratch[:i, :i])
-            z[:i, :i] -= scratch[:i, :i]
-        d[i] = z[i, i]
-        z[i, i] = 1.0
-        if i > 0:
-            z[i, :i] = 0.0
-            z[:i, i] = 0.0
-    return d, e, z
+            continue
+        z[i, :i] /= scale
+        u = z[i, :i]
+        h = float(u @ u)
+        f = u[l]
+        g = -np.copysign(np.sqrt(h), f)
+        e[i] = scale * g
+        h -= f * g
+        z[i, l] = f - g
+        hs[i] = h
+        p = (z[:i, :i] @ u) / h
+        k = float(u @ p) / (2.0 * h)
+        q = p - k * u
+        # Rank-2 update as one GEMM into scratch to avoid the temporaries
+        # np.outer would allocate each step.
+        lhs[:i, 0] = q
+        lhs[:i, 1] = u
+        rhs[0, :i] = u
+        rhs[1, :i] = q
+        np.matmul(lhs[:i], rhs[:, :i], out=scratch[:i, :i])
+        z[:i, :i] -= scratch[:i, :i]
+    return np.diagonal(z).copy(), e, z, hs
 
 
-def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL on a symmetric tridiagonal matrix.
+def _apply_q(z: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q @ y, in place in y, for the Q that _tridiagonalize encodes in (z, h);
+    P_2 acts first.
 
-    d is the diagonal, e the subdiagonal in e[1:], z the transform the
-    rotations are accumulated into (columns become eigenvectors).  Standard
-    tql2 scheme: for each eigenvalue, split off the trailing converged block,
-    compute a Wilkinson-style shift from the leading 2x2, and chase the bulge
-    with Givens rotations while applying each rotation to the columns of z.
+    Each group of up to 32 consecutive reflectors, as unit vectors V
+    ordered from the highest step down, multiplies out to I - V T V^T in
+    compact-WY form (Schreiber & Van Loan, 1989), with T the inverse of
+    I/2 + strict_upper(V^T V) (the UT transform): three GEMMs per group.
+    """
+    steps = np.flatnonzero(h)
+    for start in range(0, steps.shape[0], 32):
+        idx = steps[start : start + 32][::-1]
+        rows = int(idx[0])
+        # u_i lives in z[i, :i]; mask the rest of each row's prefix.
+        inside = np.arange(rows)[:, None] < idx[None, :]
+        v = np.where(inside, z[idx, :rows].T, 0.0) / np.sqrt(2.0 * h[idx])
+        t = np.linalg.inv(np.triu(v.T @ v, 1) + 0.5 * np.eye(idx.shape[0]))
+        y[:rows] -= v @ (t @ (v.T @ y[:rows]))
+    return y
 
-    The scalar recurrence runs on Python lists of floats with math.hypot and
-    math.copysign: indexing a numpy array and calling a ufunc on one value
-    costs several times the arithmetic itself.  The rotation count grows
-    quadratically with n, so the accumulation runs on the transposed matrix
-    (row slices are contiguous) with preallocated scratch buffers; the
-    per-rotation work is pure BLAS-1.  d, e and z are not modified; the
-    eigenvalues come back as a float64 array.
+
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
+    """Eigenvalues of the tridiagonal matrix (d, e[1:]) by implicit-shift QL.
+
+    Standard tql1: per eigenvalue, split off the converged block, shift by
+    the leading 2x2 and chase the bulge.  The scalar recurrence runs on
+    Python floats, which beats indexing numpy arrays one value at a time.
+    Exhausting max_sweeps raises NoConvergenceError carrying the partly
+    reduced diagonal and the identity (the tridiagonal coordinates).
     """
     n = d.shape[0]
     d = d.tolist()
     e = e[1:].tolist() + [0.0]
     eps = float(np.finfo(np.float64).eps)
-    zt = np.ascontiguousarray(z.T)
-    rot = np.empty((2, 2))
-    buf = np.empty((2, n))
     for l in range(n):
         sweeps = 0
         while True:
@@ -225,24 +218,20 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
             if sweeps > max_sweeps:
                 raise NoConvergenceError(
                     f"tridiagonal QL failed to deflate index {l} after {max_sweeps} sweeps",
-                    SpectralBasis(np.array(d), np.ascontiguousarray(zt.T), None),
+                    SpectralBasis(np.array(d), np.eye(n), None),
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
+            s, c, p = 1.0, 1.0, 0.0
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
                 r = math.hypot(f, g)
                 e[i + 1] = r
-                if r == 0.0:
+                if r == 0.0:  # underflow: sweep again from index l
                     d[i + 1] -= p
                     e[m] = 0.0
-                    underflow = True
                     break
                 s = f / r
                 c = g / r
@@ -251,26 +240,65 @@ def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 50) -> 
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                rot[0, 0] = c
-                rot[0, 1] = -s
-                rot[1, 0] = s
-                rot[1, 1] = c
-                block = zt[i : i + 2]
-                np.dot(rot, block, out=buf)
-                block[:] = buf
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return np.array(d), np.ascontiguousarray(zt.T)
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return np.array(d)
+
+
+def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns) of the tridiagonal matrix (d, e[1:]) for the
+    ascending eigenvalues w, by inverse iteration on all shifts at once.
+
+    Positions are rows, so each recurrence step is one contiguous row over
+    all shifts.  T is scaled to unit infinity norm, then T - w_j I is
+    factored once without pivoting; pivots below eps are raised to eps with
+    their sign.  Three solves run from a fixed-seed random start; each is
+    followed by normalizing the columns and a QR of every cluster: a run of
+    eigenvalues with consecutive gaps at most 1e-3 (LAPACK dstein's rule).
+    """
+    n, m = d.shape[0], w.shape[0]
+    # e[0] == 0, so row i of T has |e[i]| + |d[i]| + |e[i + 1]|.
+    tnorm = float(np.max(np.abs(d) + np.abs(e) + np.abs(np.append(e[1:], 0.0))))
+    if tnorm > 0.0:
+        d, e, w = d / tnorm, e / tnorm, w / tnorm
+    eps = np.finfo(np.float64).eps
+    # inv_u holds 1 / U's diagonal; L's subdiagonal is e[i] * inv_u[i - 1].
+    inv_u = np.empty((n, m))
+    row = np.empty(m)
+    for i in range(n):
+        np.subtract(d[i], w, out=row)
+        if i > 0:
+            row -= inv_u[i - 1] * e[i] * e[i]
+        np.copysign(np.maximum(np.abs(row), eps), row, out=row)
+        np.divide(1.0, row, out=inv_u[i])
+
+    cuts = (np.flatnonzero(np.diff(w) > 1e-3) + 1).tolist()
+    clusters = [(a, b) for a, b in zip([0] + cuts, cuts + [m]) if b - a > 1]
+    y = np.random.default_rng(0).standard_normal((n, m))
+    for _ in range(3):
+        for i in range(1, n):
+            np.multiply(inv_u[i - 1], e[i], out=row)
+            row *= y[i - 1]
+            np.subtract(y[i], row, out=y[i])
+        y[n - 1] *= inv_u[n - 1]
+        for i in range(n - 2, -1, -1):
+            np.multiply(y[i + 1], e[i + 1], out=row)
+            np.subtract(y[i], row, out=y[i])
+            np.multiply(y[i], inv_u[i], out=y[i])
+        y /= np.sqrt(np.einsum("ij,ij->j", y, y))  # no n-by-m temporary
+        for a, b in clusters:
+            y[:, a:b] = np.linalg.qr(y[:, a:b])[0]
+    return y
 
 
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a dense symmetric matrix, unordered.
-
-    Returns (eigenvalues, eigenvectors-as-columns).  The two-phase classical
-    scheme; no use of library eigensolvers.
+    """All eigenpairs of a dense symmetric matrix: (eigenvalues ascending,
+    eigenvectors as columns).  Householder tridiagonalization, QL values,
+    inverse iteration vectors and a compact-WY back-transform; no library
+    eigensolver.  If QL runs out of sweeps, NoConvergenceError carries the
+    partly reduced diagonal and Q, the best state in the input's coordinates.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -280,8 +308,13 @@ def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros((0, 0))
     if n == 1:
         return a[0].copy(), np.ones((1, 1))
-    d, e, z = _tridiagonalize(a)
-    return _tql2(d, e, z)
+    d, e, z, h = _tridiagonalize(a)
+    try:
+        w = np.sort(_tridiagonal_eigenvalues(d, e))
+    except NoConvergenceError as exc:
+        b = exc.basis
+        raise NoConvergenceError(str(exc), SpectralBasis(b.eigenvalues, _apply_q(z, h, b.eigenvectors))) from None
+    return w, _apply_q(z, h, _tridiagonal_eigenvectors(d, e, w))
 
 
 def full_dense_eigendecomposition(
@@ -289,7 +322,10 @@ def full_dense_eigendecomposition(
 ) -> SpectralBasis:
     """All n eigenpairs of a dense symmetric matrix, magnitude-ordered.
 
-    Guards against accidental cubic blowups: refuses n above dense_limit.
+    dense_symmetric_eig supplies the pairs (QL eigenvalues, inverse
+    iteration eigenvectors, compact-WY back-transform); this adds the
+    magnitude order, canonical signs and residuals.  Guards against
+    accidental cubic blowups: refuses n above dense_limit.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -309,17 +309,24 @@ class TestTrain:
         assert "numerical failure" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_runtime_suite(self, tmp_path, capsys):
-        out = tmp_path / "runtime.json"
-        assert run("bench", "--suite", "runtime", "--n", "40", "--k", "3",
-                   "--seeds", "0", "--out", str(out)) == 0
-        payload = json.loads(out.read_text())
-        assert payload["suite"] == "runtime"
-        assert payload["full_mean_seconds"] > 0
-        assert len(payload["runs"]) == 1
-        assert "topk" in capsys.readouterr().out
+class TestOutputPathErrors:
+    """An output path that runs through an existing file exits 1 with a
+    message, not a traceback."""
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "30", "--p-in", "0.2", "--out", "{data}/nodes.csv/x"),
+        ("eig", "--graph", "{data}", "--k", "2", "--out", "{data}/nodes.csv/b.bin"),
+        ("train", "--graph", "{data}", "--k", "2", "--epochs", "2",
+         "--out", "{data}/nodes.csv"),
+    ], ids=["gen", "eig", "train"])
+    def test_output_under_a_file_is_usage_error(self, tmp_path, capsys, argv):
+        data = gen_graph(tmp_path)
+        capsys.readouterr()
+        assert run(*(arg.format(data=data) for arg in argv)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestBench:
     def test_ksweep_suite(self, tmp_path):
         out = tmp_path / "ksweep.json"
         assert run("bench", "--suite", "ksweep", "--n", "40",
@@ -332,6 +339,10 @@ class TestBench:
 
     def test_unknown_suite_is_usage_error(self):
         assert run("bench", "--suite", "marathon") == 1
+
+    def test_runtime_suite_is_gone(self, capsys):
+        assert run("bench", "--suite", "runtime") == 1
+        assert capsys.readouterr().err.startswith("error: suite must be ksweep")
 
     @pytest.mark.parametrize("bad", ["", "a,b"])
     def test_malformed_k_values(self, bad):

@@ -1,21 +1,26 @@
 """Eigensolver checks: hand-computed cases, dense self-consistency, and the
 sparse iterative route cross-checked against the dense one.
 
-The two solvers share no factorization code (Lanczos + projected small
-problems on one side, Householder tridiagonalization + QL on the other), so
-agreement between them is evidence, not tautology.  Degenerate spectra are
+The sparse route (Lanczos + projected small problems) reuses the dense
+solver only for its small projected matrices; the dense route (Householder
+tridiagonalization, QL eigenvalues, inverse iteration and a compact-WY
+back-transform) decomposes the whole operator, so agreement between them
+is evidence, not tautology.  Degenerate spectra are
 compared as subspaces because individual eigenvectors are arbitrary inside
 a repeated eigenvalue's eigenspace.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from fairspectral import eigen
 from fairspectral.eigen import (
     DenseLimitError,
     NoConvergenceError,
     SpectralBasis,
-    _tql2,
+    _tridiagonal_eigenvalues,
     canonical_sign,
     dense_symmetric_eig,
     full_dense_eigendecomposition,
@@ -24,7 +29,7 @@ from fairspectral.eigen import (
     save_basis,
     top_k_eigenpairs,
 )
-from fairspectral.graph import Graph, normalize
+from fairspectral.graph import Graph, SbmConfig, generate_sbm, normalize
 from fairspectral.sparse import csr_from_dense, csr_from_edges
 
 
@@ -130,19 +135,33 @@ class TestDenseRoute:
         with pytest.raises(ValueError):
             full_dense_eigendecomposition(np.ones((2, 3)))
 
-    def test_ql_budget_exhaustion_carries_the_unrotated_state(self):
+    def test_ql_budget_exhaustion_carries_q_and_the_unreduced_diagonal(self, monkeypatch):
         d = np.array([0.0, 2.0, 1.0, -1.0])
         e = np.array([0.0, 0.5, 0.25, 0.75])
-        z = np.eye(4)[::-1].copy()
         with pytest.raises(NoConvergenceError) as info:
-            _tql2(d, e, z, max_sweeps=0)
-        basis = info.value.basis
-        assert basis.eigenvalues.dtype == np.float64 and basis.eigenvalues.shape == (4,)
-        assert basis.eigenvectors.dtype == np.float64 and basis.eigenvectors.shape == (4, 4)
-        # No rotation ran: the carried state is the input, which stays untouched.
-        np.testing.assert_array_equal(basis.eigenvalues, d)
-        np.testing.assert_array_equal(basis.eigenvectors, z)
+            _tridiagonal_eigenvalues(d, e, max_sweeps=0)
+        # No sweep ran: in tridiagonal coordinates the state is the input
+        # diagonal and the identity, and the inputs stay untouched.
+        np.testing.assert_array_equal(info.value.basis.eigenvalues, d)
+        np.testing.assert_array_equal(info.value.basis.eigenvectors, np.eye(4))
         np.testing.assert_array_equal(e, [0.0, 0.5, 0.25, 0.75])
+
+        # Through the dense solver the state comes back in the input's
+        # coordinates: Q is orthogonal, and Q^T a Q is tridiagonal with the
+        # carried diagonal.
+        rng = np.random.default_rng(13)
+        a = random_sparse_symmetric(rng, 30, density=0.5)
+        monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues",
+                            functools.partial(_tridiagonal_eigenvalues, max_sweeps=0))
+        with pytest.raises(NoConvergenceError) as info:
+            dense_symmetric_eig(a)
+        basis = info.value.basis
+        assert basis.eigenvalues.shape == (30,) and basis.eigenvectors.shape == (30, 30)
+        q = basis.eigenvectors
+        assert np.max(np.abs(q.T @ q - np.eye(30))) <= 1e-13
+        t = q.T @ a @ q
+        assert np.max(np.abs(np.triu(t, 2))) <= 1e-13
+        np.testing.assert_allclose(np.diag(t), basis.eigenvalues, rtol=0, atol=1e-13)
 
     def test_degenerate_case_sizes(self):
         w, v = dense_symmetric_eig(np.zeros((0, 0)))
@@ -150,6 +169,73 @@ class TestDenseRoute:
         w, v = dense_symmetric_eig(np.array([[7.0]]))
         np.testing.assert_allclose(w, [7.0])
         np.testing.assert_allclose(v, [[1.0]])
+
+
+def wilkinson_plus(m):
+    """W_{2m+1}^+: diagonal |m|, ..., 1, 0, 1, ..., |m|, unit off-diagonals.
+    Its largest eigenvalues come in pairs that agree to about 1e-14."""
+    return (np.diag(np.abs(np.arange(-m, m + 1.0)))
+            + np.eye(2 * m + 1, k=1) + np.eye(2 * m + 1, k=-1))
+
+
+class TestDenseHardSpectra:
+    """Eigenvalues against np.linalg.eigvalsh, residuals and orthonormality,
+    all to 1e-12 relative to ||a||, on spectra with ties and splits."""
+
+    @staticmethod
+    def check(a):
+        w, v = dense_symmetric_eig(a)
+        n = a.shape[0]
+        scale = 1e-12 * np.linalg.norm(a, 2)
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a), rtol=0, atol=scale)
+        assert np.max(np.abs(a @ v - v * w)) <= scale
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+        return w, v
+
+    def test_wilkinson_pairs(self):
+        w, _ = self.check(wilkinson_plus(10))
+        top = np.sort(w)[-2:]
+        assert 0.0 < top[1] - top[0] <= 1e-13
+
+    def test_identical_blocks_split_the_tridiagonal_exactly(self):
+        rng = np.random.default_rng(30)
+        b = rng.standard_normal((5, 5))
+        a = np.kron(np.eye(6), b + b.T)
+        _, e, _, _ = eigen._tridiagonalize(a)
+        assert np.count_nonzero(e[1:] == 0.0) >= 5
+        w, _ = self.check(a)
+        # Every eigenvalue of the block comes six times.
+        np.testing.assert_allclose(np.sort(w).reshape(5, 6),
+                                   np.repeat(np.linalg.eigvalsh(b + b.T)[:, None], 6, axis=1),
+                                   rtol=0, atol=1e-12 * np.linalg.norm(a, 2))
+
+    def test_sbm_operator_with_a_many_fold_eigenvalue_one(self):
+        g = generate_sbm(SbmConfig(n=400, seed=0))
+        a = normalize(g, "sym").to_dense()
+        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(a) - 1.0) <= 1e-10) >= 10
+        self.check(a)
+
+    def test_diagonal_with_repeats(self):
+        a = np.diag([3.0, -1.0, 3.0, 0.0, 2.0, -1.0])
+        w, _ = self.check(a)
+        np.testing.assert_array_equal(np.sort(w), [-1.0, -1.0, 0.0, 2.0, 3.0, 3.0])
+
+    def test_zero_matrix(self):
+        w, _ = self.check(np.zeros((7, 7)))
+        np.testing.assert_array_equal(w, 0.0)
+
+    def test_plus_minus_pairs(self):
+        a = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0, 3.0]))
+        w, _ = self.check(a)
+        np.testing.assert_allclose(np.sort(w), [-3, -2, -1, 1, 2, 3], rtol=0, atol=1e-14)
+
+    def test_fixed_seed_bytes_repeat(self):
+        rng = np.random.default_rng(31)
+        a = random_sparse_symmetric(rng, 70, density=0.2)
+        w1, v1 = dense_symmetric_eig(a)
+        w2, v2 = dense_symmetric_eig(a)
+        assert w1.tobytes() == w2.tobytes()
+        assert v1.tobytes() == v2.tobytes()
 
 
 class TestSparseAgainstDense:
