@@ -177,12 +177,13 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _node(out, (a,), (vjp,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (1e-5 added to the
+    variance), then affine."""
     mu = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = gain.value * xhat + bias.value
 

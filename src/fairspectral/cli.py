@@ -8,7 +8,8 @@ Subcommands:
   claims and report verdicts.
 * ``train``: fit the spectral or the propagation model and report accuracy
   and fairness gaps on the held-out split.
-* ``bench``: compare fairness across basis sizes.
+* ``bench``: train as ``train`` does at several basis sizes and compare
+  fairness across them.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (non-convergence, divergence, size guard), 3 verification failure (a claim
@@ -57,7 +58,6 @@ from .eigen import (
 from .graph import (
     Graph,
     GraphFormatError,
-    OPERATOR_MODES,
     SbmConfig,
     SplitMasks,
     generate_sbm,
@@ -65,7 +65,7 @@ from .graph import (
     make_splits,
     normalize,
 )
-from .metrics import evaluate
+from .metrics import FairnessReport, evaluate
 from .model import (
     forward_propagation,
     forward_spectral,
@@ -73,7 +73,7 @@ from .model import (
     init_spectral_params,
     propagate_features,
 )
-from .train import TrainConfig, TrainingDivergedError, train
+from .train import TrainConfig, TrainHistory, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,7 +152,7 @@ def _cmd_gen(s: dict) -> int:
     root.mkdir(parents=True, exist_ok=True)
 
     a = g.adjacency
-    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    rows = a.row_indices()
     upper = rows < a.col_idx
     lines = [f"{u} {v}" for u, v in zip(rows[upper], a.col_idx[upper])]
     _write(root / _EDGE_FILE, "\n".join(lines) + ("\n" if lines else ""))
@@ -173,16 +173,12 @@ def _cmd_gen(s: dict) -> int:
 
 
 def _cmd_eig(s: dict) -> int:
-    if s["mode"] not in OPERATOR_MODES:
-        raise CliError(f"mode must be one of {OPERATOR_MODES}, got {s['mode']!r}")
-    if s["k"] < 1:
-        raise CliError(f"k must be >= 1, got {s['k']}")
     g = _load_graph_dir(s["graph"], with_splits=False)
+    if not 1 <= s["k"] <= g.n:
+        raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
     op = normalize(g, s["mode"])
     t0 = time.perf_counter()
     if s["dense"]:
-        if s["k"] > g.n:
-            raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
         basis = full_dense_eigendecomposition(
             op.to_dense(), dense_limit=s["dense_limit"]
         )
@@ -244,15 +240,13 @@ def _cmd_analyze(s: dict) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERIFICATION
 
 
-def _cmd_train(s: dict) -> int:
+def _fit(g: Graph, s: dict) -> tuple[TrainHistory, FairnessReport]:
+    """Train the model that the train settings s describe on g, which
+    carries its splits; returns the history and the test-split report."""
     if s["model"] not in ("spectral", "propagation"):
         raise CliError(f"model must be spectral or propagation, got {s['model']!r}")
-    if s["mode"] not in OPERATOR_MODES:
-        raise CliError(f"mode must be one of {OPERATOR_MODES}, got {s['mode']!r}")
-    g = _load_graph_dir(s["graph"], with_splits=True)
     op = normalize(g, s["mode"])
     rng = np.random.default_rng(s["seed"])
-    t0 = time.perf_counter()
     if s["model"] == "spectral":
         basis = top_k_eigenpairs(op, s["k"], seed=s["seed"])
         params = init_spectral_params(
@@ -269,7 +263,13 @@ def _cmd_train(s: dict) -> int:
         TrainConfig(max_epochs=s["epochs"], lr=s["lr"],
                     weight_decay=s["weight_decay"], patience=s["patience"]),
     )
-    report = evaluate(forward(params).value, g.labels, g.sensitive, g.test_mask)
+    return history, evaluate(forward(params).value, g.labels, g.sensitive, g.test_mask)
+
+
+def _cmd_train(s: dict) -> int:
+    g = _load_graph_dir(s["graph"], with_splits=True)
+    t0 = time.perf_counter()
+    history, report = _fit(g, s)
     elapsed = time.perf_counter() - t0
 
     run_dir = Path(s["out"]) / f"run-{run_digest('train', s)}"
@@ -304,14 +304,8 @@ def _bench_ksweep(s: dict) -> dict:
         for seed in seeds:
             g = generate_sbm(SbmConfig(n=s["n"], seed=seed))
             g = g.with_splits(make_splits(g, seed=seed))
-            op = normalize(g, "sym")
-            basis = top_k_eigenpairs(op, k, seed=seed)
-            params = init_spectral_params(
-                np.random.default_rng(seed), g.features.shape[1], 16, 2, 2, 8)
-            fwd = lambda p: forward_spectral(p, basis, g.features)
-            train(params, fwd, g.labels, g.sensitive, g.train_mask, g.val_mask,
-                  TrainConfig(max_epochs=s["epochs"]))
-            rep = evaluate(fwd(params).value, g.labels, g.sensitive, g.test_mask)
+            _, rep = _fit(g, resolve_settings(
+                "train", {"k": k, "seed": seed, "epochs": s["epochs"]}))
             accs.append(rep.accuracy)
             sps.append(rep.delta_sp)
         results.append({

@@ -126,20 +126,20 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
 def load_config_file(path: str) -> dict[str, dict[str, str]]:
     """Parse an INI config; validate sections and keys against the schema."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        out = {section: dict(parser.items(section)) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
+    for section, values in out.items():
         if section not in COMMAND_OPTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         known = {o.name for o in COMMAND_OPTIONS[section]}
-        values = {}
-        for key, raw in parser.items(section):
+        for key in values:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = raw
-        out[section] = values
     return out
 
 

@@ -185,10 +185,10 @@ def _spectrum_with_gap(n: int, gap_min: float, rng: np.random.Generator) -> np.n
     return np.concatenate([[1.0], rest])
 
 
-def _draw_h(n: int, rng: np.random.Generator, basis: np.ndarray, need_nonzero, tries: int = 64) -> np.ndarray:
+def _draw_h(n: int, rng: np.random.Generator, basis: np.ndarray, need_nonzero) -> np.ndarray:
     """Random signal whose projections on the listed basis columns are
-    bounded away from zero; redraws are vanishingly rare."""
-    for _ in range(tries):
+    bounded away from zero; redraws are vanishingly rare (64 tries)."""
+    for _ in range(64):
         h = rng.standard_normal(n)
         alpha = projection_weights(basis, h)
         if all(abs(alpha[i]) > 1e-8 for i in need_nonzero):
@@ -201,10 +201,11 @@ def verify_principal_limit(
     gap_min: float = 1.5,
     l_max: int = 200,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> ClaimReport:
     """Measure cos<S^l h, h> to l_max on an instance with a simple dominant
-    eigenvalue and compare against alpha_1 / ||h||."""
+    eigenvalue and compare against alpha_1 / ||h||; the verdict holds when
+    the final cosine is within 1e-6 of it."""
+    tol = 1e-6
     if gap_min <= 1.0:
         raise ValueError("gap_min must exceed 1")
     rng = np.random.default_rng(seed)
@@ -248,8 +249,6 @@ def verify_degenerate_top_bound(
     j: int = 2,
     l_max: int = 120,
     seed: int = 0,
-    margin_tol: float = 1e-9,
-    equality_tol: float = 1e-8,
 ) -> ClaimReport:
     """Top eigenvalue repeated j times: check the measured limit against the
     closed form and the Cauchy-Schwarz lower bound.
@@ -257,9 +256,10 @@ def verify_degenerate_top_bound(
     Two runs share the instance: a random signal, for which the bound must
     hold with non-negative margin, and a constructed signal with equal
     projections on the top-j eigenvectors, for which the bound must be tight
-    to equality_tol.  Projections use the basis the dense reference solver
-    returns for the degenerate eigenspace; the bound is basis-dependent and
-    holds for any orthonormal choice.
+    to 1e-8.  "Non-negative" allows -1e-9 of rounding, and the measured limit
+    must match the closed form to 1e-6.  Projections use the basis the dense
+    reference solver returns for the degenerate eigenspace; the bound is
+    basis-dependent and holds for any orthonormal choice.
     """
     if not 1 <= j < n:
         raise ValueError("need 1 <= j < n")
@@ -297,9 +297,9 @@ def verify_degenerate_top_bound(
     equality_gap = abs(final_eq - bound_eq)
 
     verdict = bool(
-        margin >= -margin_tol
+        margin >= -1e-9
         and limit_dev <= 1e-6
-        and equality_gap <= equality_tol
+        and equality_gap <= 1e-8
     )
     return ClaimReport(
         claim_id=2,
@@ -328,7 +328,6 @@ def verify_decay_rate(
     l_values=tuple(range(1, 31)),
     seed: int = 0,
     index: int = 1,
-    tol: float = 1e-3,
 ) -> ClaimReport:
     """Fit the log of the non-dominant term alpha_i^2 (lambda_i/lambda_1)^l
     against l and compare the slope with log |lambda_i / lambda_1|.
@@ -336,6 +335,7 @@ def verify_decay_rate(
     index counts from 0 over the magnitude-ordered spectrum, so index >= 1
     picks a non-dominant component.  Also reports the normalized
     contributions c_i(l) = term_i(l) / sum_m term_m(l) as the measured pairs.
+    The verdict holds when the fitted slope is within 1e-3 of the predicted.
     """
     if index < 1:
         raise ValueError("index must pick a non-dominant component (>= 1)")
@@ -391,7 +391,7 @@ def verify_decay_rate(
             "fitted_slope": float(slope),
             "l_values": l_values,
         },
-        verdict=bool(dev <= tol),
+        verdict=bool(dev <= 1e-3),
     )
 
 

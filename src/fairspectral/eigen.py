@@ -105,20 +105,20 @@ def canonical_sign(p: np.ndarray) -> np.ndarray:
     return p * signs
 
 
-def magnitude_order(eigenvalues: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
+def magnitude_order(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices sorting eigenvalues by decreasing |value|, positive first on
     magnitude ties.
 
     Computed eigenvalues of an exactly tied pair (such as +1/-1 of an
     exchange matrix) land an ulp apart, so the tie rule also fires when two
-    adjacent magnitudes differ by at most tie_tol relative and the signs
-    straddle zero.
+    adjacent magnitudes differ by at most 1e-12 * max(|value|, 1) and the
+    signs straddle zero.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     order = np.lexsort((-eigenvalues, -np.abs(eigenvalues)))
     for i in range(order.shape[0] - 1):
         a, b = eigenvalues[order[i]], eigenvalues[order[i + 1]]
-        near = abs(abs(a) - abs(b)) <= tie_tol * max(abs(a), 1.0)
+        near = abs(abs(a) - abs(b)) <= 1e-12 * max(abs(a), 1.0)
         if a < 0.0 <= b and near:
             order[i], order[i + 1] = order[i + 1], order[i]
     return order
@@ -387,8 +387,8 @@ def top_k_eigenpairs(
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     rng = np.random.default_rng(seed)
 
     m = min(n, max(2 * k + 10, 20))

@@ -9,6 +9,7 @@ fairness metrics read it separately.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,10 +65,10 @@ class Graph:
         )
         if overlap.any():
             raise ValueError("train/val/test masks must be disjoint")
-        diag = _diagonal_entries(self.adjacency)
-        if np.any(diag != 0.0):
+        a = self.adjacency
+        if np.any(a.values[a.row_indices() == a.col_idx] != 0.0):
             raise ValueError("adjacency must not contain self loops")
-        if not is_symmetric(self.adjacency):
+        if not is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
         for arr in (self.features, self.sensitive, self.labels, self.train_mask, self.val_mask, self.test_mask):
             arr.flags.writeable = False
@@ -161,16 +162,8 @@ class SbmConfig:
             raise ValueError("label_bias must lie in [0.5, 1]")
         if self.d < 2:
             raise ValueError("d must be at least 2 (sensitive column plus noise)")
-        if self.noise_sd <= 0.0:
+        if not self.noise_sd > 0.0:
             raise ValueError("noise_sd must be positive")
-
-
-def _diagonal_entries(a: CsrMatrix) -> np.ndarray:
-    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
-    on_diag = rows == a.col_idx
-    out = np.zeros(a.n)
-    out[rows[on_diag]] = a.values[on_diag]
-    return out
 
 
 def load_graph(
@@ -202,7 +195,7 @@ def load_graph(
     label_pos = names.index(label_column)
     sens_pos = names.index(sensitive_column)
     raw_labels = rows[:, label_pos]
-    if not np.all(np.isfinite(raw_labels) & (raw_labels == np.round(raw_labels)) & (raw_labels >= 0)):
+    if not np.all((raw_labels == np.round(raw_labels)) & (raw_labels >= 0)):
         raise GraphFormatError("label column must contain non-negative integers")
     labels = np.minimum(raw_labels, 1.0).astype(np.int64)
     sensitive = rows[:, sens_pos]
@@ -232,6 +225,8 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
             data.append([float(c) for c in cells])
         except ValueError as exc:
             raise GraphFormatError(f"node table line {ln_no}: non-numeric cell") from exc
+        if not all(map(math.isfinite, data[-1])):
+            raise GraphFormatError(f"node table line {ln_no}: non-finite cell")
     return names, np.asarray(data, dtype=np.float64)
 
 
@@ -260,8 +255,6 @@ def _read_edge_pairs(path, n: int) -> np.ndarray:
 
 
 def _pairs_to_adjacency(n: int, pairs: np.ndarray) -> CsrMatrix:
-    if pairs.shape[0] == 0:
-        return CsrMatrix(n, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     return csr_from_edges(n, rows, cols, np.ones(rows.shape[0]))
@@ -288,7 +281,7 @@ def _sym_normalize(a: CsrMatrix) -> CsrMatrix:
     total = int(row_ptr[-1])
     col_idx = np.empty(total, dtype=np.int64)
     values = np.empty(total)
-    rows = np.repeat(np.arange(n), old_counts)
+    rows = a.row_indices()
     # Destination of each old entry: rows are sorted, so the within-row rank
     # shifts by one for entries past the inserted diagonal.
     within = np.arange(a.nnz) - a.row_ptr[rows]
@@ -399,15 +392,15 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
 
 
 def _sample_block_edges(
-    rng: np.random.Generator, n: int, half: int, p_in: float, p_out: float, chunk: int = 512
+    rng: np.random.Generator, n: int, half: int, p_in: float, p_out: float
 ) -> np.ndarray:
-    """Bernoulli edges over the upper triangle, drawn row-chunk by row-chunk
-    to bound memory at large n.  Probability depends only on whether the two
+    """Bernoulli edges over the upper triangle, drawn 512 rows at a time to
+    bound memory at large n.  Probability depends only on whether the two
     endpoints share a community (first half vs second half)."""
     prob_row = np.empty(n)
     out_pairs = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
         rows = np.arange(start, stop)
         draws = rng.random((stop - start, n))
         for local, i in enumerate(rows):

@@ -23,7 +23,7 @@ are plain constants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -88,19 +88,6 @@ class AttentionParams:
     proj_b: Tensor
     n_heads: int = 2
 
-    _FIELD_ORDER = (
-        "ln1_gain", "ln1_bias", "wq", "wk", "wv", "wo",
-        "ln2_gain", "ln2_bias", "ffn_w1", "ffn_w2", "proj_w", "proj_b",
-    )
-
-    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in self._FIELD_ORDER:
-            yield name, getattr(self, name).value
-
-    def tensors(self) -> Iterator[Tensor]:
-        for name in self._FIELD_ORDER:
-            yield getattr(self, name)
-
 
 @dataclass
 class ModelParams:
@@ -109,6 +96,8 @@ class ModelParams:
     ``attention`` is ``None`` for the propagation model, which has no
     spectrum to modulate.  ``conv_weights`` is empty for the propagation
     model as well; its only maps are ``input_map`` and ``classifier``.
+    ``named_tensors`` is the one parameter order that hashing, gradient
+    collection and the optimizer share.
     """
 
     input_map: Tensor
@@ -116,22 +105,19 @@ class ModelParams:
     conv_weights: list[Tensor] = field(default_factory=list)
     attention: AttentionParams | None = None
 
-    def tensors(self) -> Iterator[Tensor]:
-        yield self.input_map
+    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
+        """(name, tensor) pairs in a fixed order: ``input_map``, the
+        attention tensors as ``attention.<field>`` in declaration order,
+        ``conv.<i>``, then ``classifier``."""
+        yield "input_map", self.input_map
         if self.attention is not None:
-            yield from self.attention.tensors()
-        yield from self.conv_weights
-        yield self.classifier
-
-    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Deterministically ordered (name, array) pairs, for hashing."""
-        yield "input_map", self.input_map.value
-        if self.attention is not None:
-            for name, arr in self.attention.named_arrays():
-                yield "attention." + name, arr
+            for f in fields(self.attention):
+                t = getattr(self.attention, f.name)
+                if isinstance(t, Tensor):
+                    yield "attention." + f.name, t
         for i, w in enumerate(self.conv_weights):
-            yield f"conv.{i}", w.value
-        yield "classifier", self.classifier.value
+            yield f"conv.{i}", w
+        yield "classifier", self.classifier
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -150,19 +136,19 @@ def init_spectral_params(
     n_layers: int,
     d_encode: int,
     n_heads: int = 2,
-    d_ffn: int | None = None,
 ) -> ModelParams:
-    """Xavier-uniform weights, unit norm gains, zero biases."""
+    """Xavier-uniform weights, unit norm gains, zero biases.  The
+    feed-forward stage of the attention block is ``2 * d_encode`` wide."""
+    if d_hidden < 1:
+        raise ValueError(f"d_hidden must be >= 1, got {d_hidden}")
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if d_encode % 2 != 0 or d_encode <= 0:
         raise ValueError(f"d_encode must be a positive even integer, got {d_encode}")
-    if d_encode % n_heads != 0:
+    if n_heads < 1 or d_encode % n_heads != 0:
         raise ValueError(
-            f"n_heads ({n_heads}) must divide d_encode ({d_encode})"
+            f"n_heads ({n_heads}) must be a positive divisor of d_encode ({d_encode})"
         )
-    if d_ffn is None:
-        d_ffn = 2 * d_encode
     p = ad.parameter
     attention = AttentionParams(
         ln1_gain=p(np.ones(d_encode)),
@@ -173,8 +159,8 @@ def init_spectral_params(
         wo=p(_xavier(rng, d_encode, d_encode)),
         ln2_gain=p(np.ones(d_encode)),
         ln2_bias=p(np.zeros(d_encode)),
-        ffn_w1=p(_xavier(rng, d_encode, d_ffn)),
-        ffn_w2=p(_xavier(rng, d_ffn, d_encode)),
+        ffn_w1=p(_xavier(rng, d_encode, 2 * d_encode)),
+        ffn_w2=p(_xavier(rng, 2 * d_encode, d_encode)),
         proj_w=p(_xavier(rng, d_encode, 1)),
         proj_b=p(np.zeros(1)),
         n_heads=n_heads,
@@ -197,6 +183,8 @@ def init_propagation_params(
     d_hidden: int,
     n_classes: int,
 ) -> ModelParams:
+    if d_hidden < 1:
+        raise ValueError(f"d_hidden must be >= 1, got {d_hidden}")
     return ModelParams(
         input_map=ad.parameter(_xavier(rng, d_in, d_hidden)),
         classifier=ad.parameter(_xavier(rng, d_hidden, n_classes)),
@@ -257,10 +245,10 @@ def forward_spectral(
     params: ModelParams,
     basis: SpectralBasis,
     features: np.ndarray,
-    d_encode: int | None = None,
 ) -> Tensor:
     """Logits of the spectral model, shape ``(n, n_classes)``.
 
+    The eigenvalues are encoded at the width of the attention parameters.
     Each convolution layer concatenates the current representation with its
     filtered image and applies a relu-activated linear map, so the raw
     (unsmoothed) channel survives to the classifier alongside the filtered
@@ -268,8 +256,7 @@ def forward_spectral(
     """
     if params.attention is None:
         raise ValueError("spectral forward requires attention parameters")
-    if d_encode is None:
-        d_encode = params.attention.ln1_gain.value.shape[0]
+    d_encode = params.attention.ln1_gain.value.shape[0]
     encoding = sinusoidal_encode(basis.eigenvalues, d_encode)
     modulation = modulate_spectrum(params.attention, encoding)
 

@@ -47,6 +47,10 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.col_idx.shape[0])
 
+    def row_indices(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with col_idx and values."""
+        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return A @ x for a length-n vector x."""
         x = np.asarray(x, dtype=np.float64)
@@ -70,8 +74,7 @@ class CsrMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        out[rows, self.col_idx] = self.values
+        out[self.row_indices(), self.col_idx] = self.values
         return out
 
 
@@ -117,7 +120,7 @@ def csr_from_edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
 
 
 def is_symmetric(a: CsrMatrix, tol: float = 0.0) -> bool:
-    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    rows = a.row_indices()
     fwd = np.lexsort((a.col_idx, rows))
     bwd = np.lexsort((rows, a.col_idx))
     return (

@@ -57,9 +57,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
@@ -103,15 +103,15 @@ class TrainHistory:
 def params_digest(params: ModelParams) -> str:
     """Content hash of every parameter array, stable across runs."""
     h = hashlib.sha256()
-    for name, arr in params.named_arrays():
+    for name, t in params.named_tensors():
         h.update(name.encode())
-        h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(str(t.value.shape).encode())
+        h.update(np.ascontiguousarray(t.value).tobytes())
     return h.hexdigest()
 
 
 def _zero_grads(params: ModelParams) -> None:
-    for t in params.tensors():
+    for _, t in params.named_tensors():
         t.grad = None
 
 
@@ -119,24 +119,24 @@ def backward_gradients(loss: Tensor, params: ModelParams) -> dict[str, np.ndarra
     """Run backward from ``loss`` and collect per-parameter gradients."""
     _zero_grads(params)
     loss.backward()
-    out = {}
-    for (name, arr), t in zip(params.named_arrays(), params.tensors()):
-        out[name] = np.zeros_like(arr) if t.grad is None else np.array(t.grad)
-    return out
+    return {name: np.zeros_like(t.value) if t.grad is None else np.array(t.grad)
+            for name, t in params.named_tensors()}
 
 
 def finite_difference_gradients(
     loss_fn: Callable[[], Tensor],
     params: ModelParams,
-    step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradients of ``loss_fn`` for every parameter entry.
+    """Central-difference gradients of ``loss_fn`` for every parameter entry,
+    with step 1e-5.
 
     ``loss_fn`` must rebuild the graph from the current parameter values on
     each call; entries are perturbed in place and always restored.
     """
+    step = 1e-5
     out = {}
-    for (name, arr), _ in zip(params.named_arrays(), params.tensors()):
+    for name, t in params.named_tensors():
+        arr = t.value
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -203,7 +203,7 @@ def train(
     if not train_mask.any():
         raise ValueError("training mask selects no nodes")
     history = TrainHistory()
-    tensors = list(params.tensors())
+    tensors = [t for _, t in params.named_tensors()]
     opt = _Adam(tensors, config.lr, config.weight_decay)
     best_arrays: list[np.ndarray] | None = None
 

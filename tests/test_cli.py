@@ -48,6 +48,17 @@ class TestParserBasics:
             run()
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("text", [
+        "n = 30\n",
+        "[gen]\nn = 30\nn = 40\n",
+        "[gen]\nn = 30\n[gen]\nseed = 2\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert run("gen", "--config", str(ini), "--out", str(tmp_path / "g")) == 1
+        assert capsys.readouterr().err.startswith("error: malformed config file")
+
 
 class TestGen:
     def test_writes_three_files(self, tmp_path, capsys):
@@ -326,6 +337,48 @@ class TestOutputPathErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnusableValues:
+    """Settings no model or solver can use, and non-finite input cells, exit
+    1 with a message instead of a traceback or a numerical failure."""
+
+    TRAIN = ("train", "--graph", "{data}", "--k", "2", "--epochs", "2",
+             "--out", "{tmp}/runs")
+
+    def assert_usage_error(self, capsys, argv, data, tmp_path):
+        capsys.readouterr()
+        assert run(*(arg.format(data=data, tmp=tmp_path) for arg in argv)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [
+        ("--heads", "0"),
+        ("--hidden", "0"),
+        ("--model", "propagation", "--hidden", "0"),
+    ], ids=["heads", "hidden", "propagation-hidden"])
+    def test_zero_width_model(self, tmp_path, capsys, extra):
+        data = gen_graph(tmp_path)
+        self.assert_usage_error(capsys, self.TRAIN + extra, data, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "30", "--noise-sd", "nan", "--out", "{tmp}/g"),
+        ("eig", "--graph", "{data}", "--tol", "nan", "--out", "{tmp}/b.bin"),
+        TRAIN + ("--lr", "nan"),
+        TRAIN + ("--weight-decay", "nan"),
+    ], ids=["gen-noise-sd", "eig-tol", "train-lr", "train-weight-decay"])
+    def test_nan_setting(self, tmp_path, capsys, argv):
+        data = gen_graph(tmp_path)
+        self.assert_usage_error(capsys, argv, data, tmp_path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell(self, tmp_path, capsys, cell):
+        data = gen_graph(tmp_path)
+        lines = (data / "nodes.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        row[1] = cell
+        lines[1] = ",".join(row)
+        (data / "nodes.csv").write_text("\n".join(lines) + "\n")
+        self.assert_usage_error(capsys, self.TRAIN, data, tmp_path)
+
+
 class TestBench:
     def test_ksweep_suite(self, tmp_path):
         out = tmp_path / "ksweep.json"
@@ -336,6 +389,22 @@ class TestBench:
         assert [r["k"] for r in payload["results"]] == [1, 2]
         for row in payload["results"]:
             assert 0.0 <= row["accuracy_mean"] <= 1.0
+
+    def test_ksweep_row_equals_gen_then_train(self, tmp_path):
+        # bench takes its graph from SbmConfig's defaults and its training
+        # settings from train's, so one seed's row is gen + train's result.
+        out = tmp_path / "ksweep.json"
+        assert run("bench", "--suite", "ksweep", "--n", "200", "--k-values", "3",
+                   "--seeds", "2", "--epochs", "8", "--out", str(out)) == 0
+        row = json.loads(out.read_text())["results"][0]
+        data, runs = tmp_path / "data", tmp_path / "runs"
+        assert run("gen", "--n", "200", "--seed", "2", "--out", str(data)) == 0
+        assert run("train", "--graph", str(data), "--k", "3", "--seed", "2",
+                   "--epochs", "8", "--out", str(runs)) == 0
+        (run_dir,) = runs.iterdir()
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert row["accuracy_mean"] == metrics["accuracy"]
+        assert row["delta_sp_mean"] == metrics["delta_sp"]
 
     def test_unknown_suite_is_usage_error(self):
         assert run("bench", "--suite", "marathon") == 1

@@ -10,6 +10,8 @@ from fairspectral.config import (
     resolve_settings,
     run_digest,
 )
+from fairspectral.graph import SbmConfig
+from fairspectral.train import TrainConfig
 
 
 class TestParseBool:
@@ -40,10 +42,20 @@ class TestSchema:
 
     def test_defaults_match_training_loop(self):
         by_name = {o.name: o for o in COMMAND_OPTIONS["train"]}
-        assert by_name["epochs"].default == 1000
-        assert by_name["lr"].default == 0.01
-        assert by_name["weight_decay"].default == 5e-4
-        assert by_name["patience"].default == 100
+        cfg = TrainConfig()
+        assert by_name["epochs"].default == cfg.max_epochs == 1000
+        assert by_name["lr"].default == cfg.lr == 0.01
+        assert by_name["weight_decay"].default == cfg.weight_decay == 5e-4
+        assert by_name["patience"].default == cfg.patience == 100
+
+    def test_gen_defaults_match_generator(self):
+        # bench builds its graphs from SbmConfig's defaults, gen from these.
+        by_name = {o.name: o.default for o in COMMAND_OPTIONS["gen"]}
+        cfg = SbmConfig()
+        assert (by_name["n"], by_name["p_in"], by_name["p_out"], by_name["homophily"],
+                by_name["label_bias"], by_name["dims"], by_name["noise_sd"], by_name["seed"]) == (
+            cfg.n, cfg.p_in, cfg.p_out, cfg.sensitive_homophily,
+            cfg.label_bias, cfg.d, cfg.noise_sd, cfg.seed)
 
 
 class TestConfigFile:

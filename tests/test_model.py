@@ -273,11 +273,11 @@ class TestInitialization:
         params = init_propagation_params(np.random.default_rng(24), 5, 8, 2)
         assert params.attention is None
         assert params.conv_weights == []
-        assert len(list(params.tensors())) == 2
+        assert [name for name, _ in params.named_tensors()] == ["input_map", "classifier"]
 
-    def test_named_arrays_order_is_stable(self):
+    def test_named_tensors_order_is_stable(self):
         params = init_spectral_params(np.random.default_rng(25), 3, 4, 2, 2, 4)
-        names = [name for name, _ in params.named_arrays()]
+        names = [name for name, _ in params.named_tensors()]
         assert names[0] == "input_map"
         assert names[-1] == "classifier"
         assert names.index("conv.0") < names.index("conv.1")
@@ -288,6 +288,8 @@ class TestInitialization:
         {"d_encode": 7},
         {"d_encode": 0},
         {"n_heads": 3},
+        {"n_heads": 0},
+        {"d_hidden": 0},
     ])
     def test_spectral_validation(self, kwargs):
         args = {"d_in": 4, "d_hidden": 8, "n_classes": 2,

@@ -78,6 +78,16 @@ class TestParamsDigest:
         a.conv_weights[1].value[0, 0] += 1e-12
         assert params_digest(a) != before
 
+    def test_digests_are_frozen(self):
+        # The parameter order and names feed every snapshot_id; a change to
+        # either changes these digests.
+        spectral = init_spectral_params(np.random.default_rng(25), 3, 4, 2, 2, 4)
+        propagation = init_propagation_params(np.random.default_rng(25), 3, 4, 2)
+        assert params_digest(spectral) == (
+            "c3d657f55ae59b534cc0963403e6f8ddfab72b8f694b2ca703c19cbe8bb80fc1")
+        assert params_digest(propagation) == (
+            "46d6fadd860b6c1372a9b526162b7a469298c1b77a19c0e1118040b74ccc4886")
+
     def test_model_variants_differ(self):
         rng = np.random.default_rng(3)
         a = init_spectral_params(rng, 4, 8, 2, 1, 8)
