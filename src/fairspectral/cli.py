@@ -3,13 +3,19 @@
 Subcommands:
 
 * ``gen``: sample a synthetic two-block graph and write it as plain files.
-* ``eig``: compute a truncated eigenbasis of a graph operator, with timing.
+* ``eig``: compute a truncated eigenbasis of a graph operator, with timing,
+  and write it with a JSON sidecar.
 * ``analyze``: run the numerical verification suite for the convergence
   claims and report verdicts.
-* ``train``: fit the spectral or the propagation model and report accuracy
-  and fairness gaps on the held-out split.
-* ``bench``: train as ``train`` does at several basis sizes and compare
-  fairness across them.
+* ``train``: fit the spectral model on the basis ``eig`` wrote, or the
+  propagation model, and report accuracy and fairness gaps on the held-out
+  split.
+* ``bench``: compute a basis and train as ``train`` does at several basis
+  sizes and compare fairness across them.
+
+The basis file of ``eig --out`` and ``train --basis`` defaults to
+``<graph>/basis.bin``, so ``gen --out data``, ``eig --graph data`` and
+``train --graph data`` chain with no other paths.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (non-convergence, divergence, size guard), 3 verification failure (a claim
@@ -18,8 +24,8 @@ check ran fine but its verdict is negative).
 Every subcommand accepts ``--config FILE`` pointing at an INI file whose
 section of the same name supplies defaults; explicit flags win.  Outputs of
 ``train`` land in a per-run directory named by a digest of the resolved
-settings, so re-running the same configuration overwrites its own results
-and nothing else.
+settings and the basis file's bytes, so re-running the same configuration
+overwrites its own results and nothing else.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .eigen import (
     NoConvergenceError,
     SpectralBasis,
     full_dense_eigendecomposition,
+    load_basis,
     save_basis,
     top_k_eigenpairs,
 )
@@ -83,6 +90,7 @@ EXIT_VERIFICATION = 3
 _EDGE_FILE = "edges.txt"
 _NODE_FILE = "nodes.csv"
 _SPLIT_FILE = "splits.json"
+_BASIS_FILE = "basis.bin"
 
 
 class CliError(Exception):
@@ -140,6 +148,37 @@ def _load_graph_dir(path: str, with_splits: bool) -> Graph:
     return g
 
 
+def _basis_path(s: dict, key: str) -> Path:
+    """The basis file that setting key names, by default the graph's."""
+    return Path(s[key] or Path(s["graph"]) / _BASIS_FILE)
+
+
+def _sidecar_path(basis_path: Path) -> Path:
+    return basis_path.with_suffix(basis_path.suffix + ".json")
+
+
+def _read_basis(path: Path, g: Graph, mode: str) -> tuple[SpectralBasis, bytes]:
+    """The basis eig wrote to path for g's operator in mode, and the bytes
+    of the file."""
+    if not path.is_file():
+        raise CliError(f"missing basis file: {path} (eig writes it)")
+    basis = load_basis(path)
+    if basis.n != g.n:
+        raise CliError(f"basis file {path} has n={basis.n}, the graph has {g.n} nodes")
+    sidecar = _sidecar_path(path)
+    if not sidecar.is_file():
+        raise CliError(f"missing basis sidecar: {sidecar}")
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"basis sidecar {sidecar} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CliError(f"basis sidecar {sidecar} is not a JSON object")
+    if meta.get("mode") != mode:
+        raise CliError(f"basis sidecar {sidecar} has mode {meta.get('mode')!r}, not {mode!r}")
+    return basis, path.read_bytes()
+
+
 def _cmd_gen(s: dict) -> int:
     cfg = SbmConfig(
         n=s["n"], p_in=s["p_in"], p_out=s["p_out"],
@@ -193,7 +232,7 @@ def _cmd_eig(s: dict) -> int:
         method = "lanczos-topk"
     elapsed = time.perf_counter() - t0
 
-    out = Path(s["out"])
+    out = _basis_path(s, "out")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_basis(basis, out)
     sidecar = {
@@ -206,7 +245,7 @@ def _cmd_eig(s: dict) -> int:
         "max_residual": (None if basis.residuals is None
                          else float(np.max(basis.residuals))),
     }
-    _write(out.with_suffix(out.suffix + ".json"), json.dumps(sidecar, indent=2) + "\n")
+    _write(_sidecar_path(out), json.dumps(sidecar, indent=2) + "\n")
     print(f"{method}: {basis.k} pairs of n={basis.n} in {elapsed:.3f}s -> {out}")
     return EXIT_OK
 
@@ -240,15 +279,15 @@ def _cmd_analyze(s: dict) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERIFICATION
 
 
-def _fit(g: Graph, s: dict) -> tuple[TrainHistory, FairnessReport]:
+def _fit(g: Graph, s: dict,
+         basis: SpectralBasis | None) -> tuple[TrainHistory, FairnessReport]:
     """Train the model that the train settings s describe on g, which
-    carries its splits; returns the history and the test-split report."""
+    carries its splits, and for the spectral model on basis; returns the
+    history and the test-split report."""
     if s["model"] not in ("spectral", "propagation"):
         raise CliError(f"model must be spectral or propagation, got {s['model']!r}")
-    op = normalize(g, s["mode"])
     rng = np.random.default_rng(s["seed"])
     if s["model"] == "spectral":
-        basis = top_k_eigenpairs(op, s["k"], seed=s["seed"])
         params = init_spectral_params(
             rng, g.features.shape[1], s["hidden"], 2,
             s["layers"], s["encode_dim"], s["heads"],
@@ -256,7 +295,8 @@ def _fit(g: Graph, s: dict) -> tuple[TrainHistory, FairnessReport]:
         forward = lambda p: forward_spectral(p, basis, g.features)
     else:
         params = init_propagation_params(rng, g.features.shape[1], s["hidden"], 2)
-        propagated = propagate_features(op, g.features, s["steps"], s["theta"])
+        propagated = propagate_features(normalize(g, s["mode"]), g.features,
+                                        s["steps"], s["theta"])
         forward = lambda p: forward_propagation(p, propagated)
     history = train(
         params, forward, g.labels, g.sensitive, g.train_mask, g.val_mask,
@@ -268,11 +308,16 @@ def _fit(g: Graph, s: dict) -> tuple[TrainHistory, FairnessReport]:
 
 def _cmd_train(s: dict) -> int:
     g = _load_graph_dir(s["graph"], with_splits=True)
+    path = _basis_path(s, "basis")
+    s = {**s, "basis": str(path)}
+    basis, content = None, b""
+    if s["model"] == "spectral":
+        basis, content = _read_basis(path, g, s["mode"])
     t0 = time.perf_counter()
-    history, report = _fit(g, s)
+    history, report = _fit(g, s, basis)
     elapsed = time.perf_counter() - t0
 
-    run_dir = Path(s["out"]) / f"run-{run_digest('train', s)}"
+    run_dir = Path(s["out"]) / f"run-{run_digest('train', s, content)}"
     run_dir.mkdir(parents=True, exist_ok=True)
     _write(run_dir / "settings.json", json.dumps(s, indent=2, sort_keys=True) + "\n")
     _write(run_dir / "history.json", history.to_json() + "\n")
@@ -298,14 +343,18 @@ def _int_list(text: str, what: str) -> list[int]:
 def _bench_ksweep(s: dict) -> dict:
     k_values = _int_list(s["k_values"], "k_values")
     seeds = _int_list(s["seeds"], "seeds")
+    runs = []
+    for seed in seeds:
+        g = generate_sbm(SbmConfig(n=s["n"], seed=seed))
+        g = g.with_splits(make_splits(g, seed=seed))
+        train_settings = resolve_settings("train", {"seed": seed, "epochs": s["epochs"]})
+        runs.append((g, normalize(g, train_settings["mode"]), train_settings))
     results = []
     for k in k_values:
         accs, sps = [], []
-        for seed in seeds:
-            g = generate_sbm(SbmConfig(n=s["n"], seed=seed))
-            g = g.with_splits(make_splits(g, seed=seed))
-            _, rep = _fit(g, resolve_settings(
-                "train", {"k": k, "seed": seed, "epochs": s["epochs"]}))
+        for g, op, train_settings in runs:
+            basis = top_k_eigenpairs(op, k, seed=train_settings["seed"])
+            _, rep = _fit(g, train_settings, basis)
             accs.append(rep.accuracy)
             sps.append(rep.delta_sp)
         results.append({

@@ -7,9 +7,10 @@ Precedence: explicit command-line flag, then config-file value, then the
 built-in default.  Unknown sections or keys in a config file are rejected
 outright; a silently ignored typo in a config is worse than an error.
 
-A run is identified by a short digest of its fully resolved settings, so
-two invocations with the same effective configuration land in the same
-output directory and different configurations can never collide silently.
+A run is identified by a short digest of its fully resolved settings and of
+the basis file it reads, so two invocations with the same effective
+configuration land in the same output directory and different
+configurations can never collide silently.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("tol", float, 1e-10, "iterative residual tolerance"),
         Option("dense_limit", int, 2000, "dense route refuses n above this"),
         Option("seed", int, 0, "start-vector seed for the iterative route"),
-        Option("out", str, "basis.bin", "output basis file"),
+        Option("out", str, "", "output basis file (default: <graph>/basis.bin)"),
     ),
     "analyze": _opts(
         Option("check", str, "all",
@@ -97,7 +98,8 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
     "train": _opts(
         Option("graph", str, "data", "directory with edges.txt, nodes.csv, splits.json"),
         Option("model", str, "spectral", "spectral or propagation"),
-        Option("k", int, 8, "eigenpairs for the spectral model"),
+        Option("basis", str, "",
+               "basis file from eig for the spectral model (default: <graph>/basis.bin)"),
         Option("mode", str, "sym", "operator mode: sym or raw"),
         Option("hidden", int, 16, "hidden width"),
         Option("layers", int, 2, "convolution layers (spectral model)"),
@@ -109,7 +111,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("lr", float, 0.01, "learning rate"),
         Option("weight_decay", float, 5e-4, "L2 strength"),
         Option("patience", int, 100, "early-stopping patience"),
-        Option("seed", int, 0, "init and eigensolver seed"),
+        Option("seed", int, 0, "init seed"),
         Option("out", str, "runs", "parent directory for run outputs"),
     ),
     "bench": _opts(
@@ -172,10 +174,12 @@ def resolve_settings(
     return resolved
 
 
-def run_digest(command: str, settings: dict[str, Any]) -> str:
-    """Twelve hex characters identifying one resolved configuration."""
+def run_digest(command: str, settings: dict[str, Any], content: bytes = b"") -> str:
+    """Twelve hex characters identifying one resolved configuration and the
+    content of the input file it reads beyond its graph, if any."""
     h = hashlib.sha256()
     h.update(command.encode())
     for key in sorted(settings):
         h.update(f"\n{key}={settings[key]!r}".encode())
+    h.update(content)
     return h.hexdigest()[:12]

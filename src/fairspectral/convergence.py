@@ -206,6 +206,8 @@ def verify_principal_limit(
     eigenvalue and compare against alpha_1 / ||h||; the verdict holds when
     the final cosine is within 1e-6 of it."""
     tol = 1e-6
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if gap_min <= 1.0:
         raise ValueError("gap_min must exceed 1")
     rng = np.random.default_rng(seed)
@@ -339,6 +341,8 @@ def verify_decay_rate(
     """
     if index < 1:
         raise ValueError("index must pick a non-dominant component (>= 1)")
+    if n <= index:
+        raise ValueError(f"n must exceed index {index}, got {n}")
     l_values = sorted(set(int(l) for l in l_values))
     if len(l_values) < 2:
         raise ValueError("need at least two l values for a slope")

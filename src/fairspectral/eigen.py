@@ -507,6 +507,8 @@ def save_basis(basis: SpectralBasis, path) -> None:
 
 
 def load_basis(path) -> SpectralBasis:
+    """Read a file that save_basis wrote.  Raises ValueError for anything
+    else, including a file with no eigenpairs or a non-finite value."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FSB_MAGIC:
@@ -519,8 +521,11 @@ def load_basis(path) -> SpectralBasis:
     need = 8 * (k + n * k)
     if len(payload) != need:
         raise ValueError(f"FSB1 payload has {len(payload)} bytes, expected {need}")
-    eigenvalues = np.frombuffer(payload[: 8 * k], dtype="<f8").copy()
-    vec = np.frombuffer(payload[8 * k :], dtype="<f8")
-    eigenvectors = vec.reshape((n, k), order="F").copy()
-    return SpectralBasis(eigenvalues, eigenvectors, None)
+    if k == 0:
+        raise ValueError("FSB1 file holds no eigenpairs")
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("FSB1 payload holds a non-finite value")
+    eigenvectors = values[k:].reshape((n, k), order="F").copy()
+    return SpectralBasis(values[:k].copy(), eigenvectors, None)
 

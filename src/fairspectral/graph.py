@@ -211,13 +211,14 @@ def load_graph(
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(ln_no, ln.rstrip("\n")) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("node table is empty")
-    delim = "," if "," in lines[0] else "\t"
-    names = [c.strip() for c in lines[0].split(delim)]
+    header = lines[0][1]
+    delim = "," if "," in header else "\t"
+    names = [c.strip() for c in header.split(delim)]
     data = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(delim)]
         if len(cells) != len(names):
             raise GraphFormatError(f"node table line {ln_no}: expected {len(names)} cells, got {len(cells)}")
@@ -276,25 +277,16 @@ def normalize(g: Graph, mode: str = "sym") -> CsrMatrix:
 
 def _sym_normalize(a: CsrMatrix) -> CsrMatrix:
     n = a.n
-    old_counts = np.diff(a.row_ptr)
-    row_ptr = np.concatenate([[0], np.cumsum(old_counts + 1)])  # one loop per row
-    total = int(row_ptr[-1])
-    col_idx = np.empty(total, dtype=np.int64)
-    values = np.empty(total)
     rows = a.row_indices()
-    # Destination of each old entry: rows are sorted, so the within-row rank
-    # shifts by one for entries past the inserted diagonal.
-    within = np.arange(a.nnz) - a.row_ptr[rows]
-    dest = row_ptr[rows] + within + (a.col_idx > rows)
-    col_idx[dest] = a.col_idx
-    values[dest] = a.values
-    diag_dest = row_ptr[:-1] + np.bincount(rows[a.col_idx < rows], minlength=n)
-    col_idx[diag_dest] = np.arange(n)
-    values[diag_dest] = 1.0
-    degree = old_counts + 1.0  # A+I with unit weights
+    # Each row's columns are sorted, so the diagonal goes in after the
+    # entries left of it and they stay sorted.
+    at = a.row_ptr[:-1] + np.bincount(rows[a.col_idx < rows], minlength=n)
+    col_idx = np.insert(a.col_idx, at, np.arange(n))
+    values = np.insert(a.values, at, 1.0)
+    row_ptr = a.row_ptr + np.arange(n + 1)
+    degree = np.diff(row_ptr)  # of A+I with unit weights
     inv_sqrt = 1.0 / np.sqrt(degree)
-    out_rows = np.repeat(np.arange(n), old_counts + 1)
-    values *= inv_sqrt[out_rows] * inv_sqrt[col_idx]
+    values *= inv_sqrt[np.repeat(np.arange(n), degree)] * inv_sqrt[col_idx]
     return CsrMatrix(n, row_ptr, col_idx, values)
 
 

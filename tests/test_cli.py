@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from fairspectral import eigen
 from fairspectral.cli import main
-from fairspectral.eigen import load_basis
+from fairspectral.eigen import SpectralBasis, load_basis, save_basis
 
 
 def run(*argv):
@@ -23,6 +24,11 @@ def gen_graph(tmp_path, name="data", n=60, extra=()):
                "--seed", "1", "--out", str(out), *extra)
     assert code == 0
     return out
+
+
+def write_basis(data, k):
+    """eig's basis of the graph in data, at the path train reads by default."""
+    assert run("eig", "--graph", str(data), "--k", str(k)) == 0
 
 
 def alias_node(doc, node, bad):
@@ -211,12 +217,25 @@ class TestAnalyze:
     def test_unknown_check_is_usage_error(self):
         assert run("analyze", "--check", "bogus") == 1
 
+    # The principal-limit check is defined at n = 1, where the operator is
+    # its own limit; every other check needs two eigenvalues.
+    @pytest.mark.parametrize("check,n", [
+        (check, n)
+        for check in ("principal-limit", "degenerate-top-bound", "nonprincipal-decay", "all")
+        for n in (0, 1)
+        if (check, n) != ("principal-limit", 1)
+    ])
+    def test_too_small_n_is_usage_error(self, capsys, check, n):
+        assert run("analyze", "--check", check, "--n", str(n)) == 1
+        assert any(ln.startswith("error:") for ln in capsys.readouterr().err.splitlines())
+
 
 class TestTrain:
     def run_train(self, tmp_path, data, *extra):
+        write_basis(data, 4)
         out = tmp_path / "runs"
         code = run("train", "--graph", str(data), "--epochs", "25",
-                   "--hidden", "8", "--layers", "1", "--k", "4",
+                   "--hidden", "8", "--layers", "1",
                    "--encode-dim", "4", "--out", str(out), *extra)
         return code, out
 
@@ -263,8 +282,9 @@ class TestTrain:
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 5\nhidden = 8\n")
         out = tmp_path / "runs"
+        write_basis(data, 4)
         assert run("train", "--graph", str(data), "--config", str(ini),
-                   "--k", "4", "--encode-dim", "4", "--layers", "1",
+                   "--encode-dim", "4", "--layers", "1",
                    "--out", str(out)) == 0
         settings = json.loads(
             (self.find_run_dir(out) / "settings.json").read_text())
@@ -275,13 +295,35 @@ class TestTrain:
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 5\n")
         out = tmp_path / "runs"
+        write_basis(data, 4)
         assert run("train", "--graph", str(data), "--config", str(ini),
-                   "--epochs", "7", "--hidden", "8", "--k", "4",
+                   "--epochs", "7", "--hidden", "8",
                    "--encode-dim", "4", "--layers", "1",
                    "--out", str(out)) == 0
         settings = json.loads(
             (self.find_run_dir(out) / "settings.json").read_text())
         assert settings["epochs"] == 7
+
+    def test_gen_eig_train_chain_with_default_paths(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--n", "60", "--p-in", "0.2", "--p-out", "0.05") == 0
+        assert run("eig", "--k", "4") == 0
+        assert (tmp_path / "data" / "basis.bin").is_file()
+        assert run("train", "--epochs", "5", "--hidden", "8", "--layers", "1",
+                   "--encode-dim", "4") == 0
+        run_dir = self.find_run_dir(tmp_path / "runs")
+        settings = json.loads((run_dir / "settings.json").read_text())
+        assert settings["basis"] == "data/basis.bin"
+        assert "test acc" in capsys.readouterr().out
+
+    def test_different_basis_gets_its_own_run_dir(self, tmp_path):
+        data = gen_graph(tmp_path)
+        out = tmp_path / "runs"
+        for k in (3, 4):
+            write_basis(data, k)
+            assert run("train", "--graph", str(data), "--epochs", "5", "--hidden", "8",
+                       "--layers", "1", "--encode-dim", "4", "--out", str(out)) == 0
+        assert len([p for p in out.iterdir() if p.is_dir()]) == 2
 
     def test_unknown_model_is_usage_error(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -327,11 +369,11 @@ class TestOutputPathErrors:
     @pytest.mark.parametrize("argv", [
         ("gen", "--n", "30", "--p-in", "0.2", "--out", "{data}/nodes.csv/x"),
         ("eig", "--graph", "{data}", "--k", "2", "--out", "{data}/nodes.csv/b.bin"),
-        ("train", "--graph", "{data}", "--k", "2", "--epochs", "2",
-         "--out", "{data}/nodes.csv"),
+        ("train", "--graph", "{data}", "--epochs", "2", "--out", "{data}/nodes.csv"),
     ], ids=["gen", "eig", "train"])
     def test_output_under_a_file_is_usage_error(self, tmp_path, capsys, argv):
         data = gen_graph(tmp_path)
+        write_basis(data, 2)
         capsys.readouterr()
         assert run(*(arg.format(data=data) for arg in argv)) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -341,8 +383,7 @@ class TestUnusableValues:
     """Settings no model or solver can use, and non-finite input cells, exit
     1 with a message instead of a traceback or a numerical failure."""
 
-    TRAIN = ("train", "--graph", "{data}", "--k", "2", "--epochs", "2",
-             "--out", "{tmp}/runs")
+    TRAIN = ("train", "--graph", "{data}", "--epochs", "2", "--out", "{tmp}/runs")
 
     def assert_usage_error(self, capsys, argv, data, tmp_path):
         capsys.readouterr()
@@ -356,6 +397,7 @@ class TestUnusableValues:
     ], ids=["heads", "hidden", "propagation-hidden"])
     def test_zero_width_model(self, tmp_path, capsys, extra):
         data = gen_graph(tmp_path)
+        write_basis(data, 2)
         self.assert_usage_error(capsys, self.TRAIN + extra, data, tmp_path)
 
     @pytest.mark.parametrize("argv", [
@@ -366,11 +408,13 @@ class TestUnusableValues:
     ], ids=["gen-noise-sd", "eig-tol", "train-lr", "train-weight-decay"])
     def test_nan_setting(self, tmp_path, capsys, argv):
         data = gen_graph(tmp_path)
+        write_basis(data, 2)
         self.assert_usage_error(capsys, argv, data, tmp_path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_cell(self, tmp_path, capsys, cell):
         data = gen_graph(tmp_path)
+        write_basis(data, 2)
         lines = (data / "nodes.csv").read_text().splitlines()
         row = lines[1].split(",")
         row[1] = cell
@@ -391,15 +435,17 @@ class TestBench:
             assert 0.0 <= row["accuracy_mean"] <= 1.0
 
     def test_ksweep_row_equals_gen_then_train(self, tmp_path):
-        # bench takes its graph from SbmConfig's defaults and its training
-        # settings from train's, so one seed's row is gen + train's result.
+        # bench takes its graph from SbmConfig's defaults, its basis from
+        # eig's Lanczos route and its training settings from train's, so one
+        # seed's row is the result of gen, eig and train.
         out = tmp_path / "ksweep.json"
         assert run("bench", "--suite", "ksweep", "--n", "200", "--k-values", "3",
                    "--seeds", "2", "--epochs", "8", "--out", str(out)) == 0
         row = json.loads(out.read_text())["results"][0]
         data, runs = tmp_path / "data", tmp_path / "runs"
         assert run("gen", "--n", "200", "--seed", "2", "--out", str(data)) == 0
-        assert run("train", "--graph", str(data), "--k", "3", "--seed", "2",
+        assert run("eig", "--graph", str(data), "--k", "3", "--seed", "2") == 0
+        assert run("train", "--graph", str(data), "--seed", "2",
                    "--epochs", "8", "--out", str(runs)) == 0
         (run_dir,) = runs.iterdir()
         metrics = json.loads((run_dir / "metrics.json").read_text())
@@ -504,6 +550,56 @@ def bad_split_files(draw):
     return json.dumps(doc)
 
 
+@st.composite
+def bad_basis_files(draw):
+    """A basis for the valid graph and its sidecar with one fault in either:
+    (basis, an edit of the file's bytes that returns None for no file,
+    sidecar text or None for no file, a part of the expected message)."""
+    basis = SpectralBasis(np.array([1.0, 0.5]), np.eye(N_NODES)[:, :2])
+    edit, sidecar = (lambda b: b), json.dumps({"mode": "sym"})
+    messages = {
+        "no-file": "missing basis file", "magic": "not an FSB1 file",
+        "header": "truncated FSB1 header", "payload": "FSB1 payload has",
+        "wrong-n": "the graph has 8 nodes",
+        "no-pairs": "no eigenpairs", "non-finite": "non-finite value",
+        "no-sidecar": "missing basis sidecar", "sidecar-junk": "basis sidecar",
+        "sidecar-not-object": "not a JSON object", "sidecar-no-mode": "has mode None",
+        "sidecar-mode": "basis sidecar",
+    }
+    kind = draw(st.sampled_from(sorted(messages)))
+    if kind == "no-file":
+        edit = lambda b: None
+    elif kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"FSB1"))
+        edit = lambda b: magic + b[4:]
+    elif kind == "header":
+        cut = draw(st.integers(4, 19))
+        edit = lambda b: b[:cut]
+    elif kind == "payload":
+        cut = draw(st.integers(1, 8 * 18))
+        edit = lambda b: b[:-cut]
+    elif kind == "wrong-n":
+        n = draw(st.integers(1, 3 * N_NODES).filter(lambda n: n != N_NODES))
+        basis = SpectralBasis(np.ones(1), np.ones((n, 1)))
+    elif kind == "no-pairs":
+        basis = SpectralBasis(np.zeros(0), np.zeros((N_NODES, 0)))
+    elif kind == "non-finite":
+        at = 20 + 8 * draw(st.integers(0, 17))
+        bad = struct.pack("<d", draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        edit = lambda b: b[:at] + bad + b[at + 8:]
+    elif kind == "no-sidecar":
+        sidecar = None
+    elif kind == "sidecar-junk":
+        sidecar = draw(st.text(alphabet="{}[]:,ab", max_size=6))
+    elif kind == "sidecar-not-object":
+        sidecar = json.dumps(draw(NOT_JSON_OBJECT))
+    elif kind == "sidecar-no-mode":
+        sidecar = json.dumps({"n": N_NODES, "k": 2})
+    else:
+        sidecar = json.dumps({"mode": draw(st.one_of(WORD, st.just("raw"), st.none()))})
+    return basis, edit, sidecar, messages[kind]
+
+
 def write_inputs(root, edges=None, nodes=None, splits=None):
     """Write the valid graph into root, with any given file text replacing its part."""
     root.mkdir(exist_ok=True)
@@ -515,20 +611,24 @@ def write_inputs(root, edges=None, nodes=None, splits=None):
 
 
 class TestMalformedInputsExitCleanly:
-    """Any malformed edge list, node table or split file ends in exit 1 and
-    an "error:" line on stderr, never a traceback.  The examples rewrite
-    all three files in the same directory, so sharing tmp_path is safe."""
+    """Any malformed edge list, node table, split file, basis file or basis
+    sidecar ends in exit 1 and an "error:" line on stderr, never a
+    traceback.  The examples rewrite every file in the same directory, so
+    sharing tmp_path is safe."""
 
     def assert_usage_error(self, capsys, argv):
+        """Returns the error lines."""
         capsys.readouterr()
         assert main(argv) == 1
-        assert any(ln.startswith("error:") for ln in capsys.readouterr().err.splitlines())
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors
+        return errors
 
     def eig_argv(self, root):
         return ["eig", "--graph", str(root), "--k", "2", "--out", str(root / "basis.bin")]
 
     def train_argv(self, root):
-        return ["train", "--graph", str(root), "--k", "2", "--epochs", "1",
+        return ["train", "--graph", str(root), "--epochs", "1",
                 "--hidden", "4", "--layers", "1", "--encode-dim", "4",
                 "--out", str(root / "runs")]
 
@@ -558,3 +658,21 @@ class TestMalformedInputsExitCleanly:
     def test_split_file(self, tmp_path, capsys, splits):
         root = write_inputs(tmp_path / "g", splits=splits)
         self.assert_usage_error(capsys, self.train_argv(root))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad_basis_files())
+    def test_basis_file(self, tmp_path, capsys, case):
+        basis, edit, sidecar, message = case
+        root = write_inputs(tmp_path / "g")
+        path, side = root / "basis.bin", root / "basis.bin.json"
+        save_basis(basis, path)
+        data = edit(path.read_bytes())
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        side.unlink(missing_ok=True)
+        if sidecar is not None:
+            side.write_text(sidecar)
+        assert message in self.assert_usage_error(capsys, self.train_argv(root))[0]

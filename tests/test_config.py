@@ -125,7 +125,7 @@ class TestRunDigest:
     def test_any_setting_changes_digest(self):
         base = resolve_settings("train", {})
         baseline = run_digest("train", base)
-        for name in ("lr", "k", "seed", "model"):
+        for name in ("lr", "basis", "seed", "model"):
             changed = dict(base)
             changed[name] = 0.02 if name == "lr" else "other"
             assert run_digest("train", changed) != baseline

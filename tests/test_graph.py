@@ -175,6 +175,13 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError):
             load_graph(edges, nodes, "sensitive", "label")
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # Blank lines count: the bad cell is on line 5 of the file.
+        edges, nodes = write_graph_files(
+            tmp_path, "", "sensitive,x1,label\n\n\n0,1.0,0\nabc,1.0,0\n")
+        with pytest.raises(GraphFormatError, match=r"^node table line 5: non-numeric cell$"):
+            load_graph(edges, nodes, "sensitive", "label")
+
     def test_missing_column_rejected(self, tmp_path):
         edges, nodes = write_graph_files(tmp_path, "", NODES_4)
         with pytest.raises(GraphFormatError):
