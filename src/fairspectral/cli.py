@@ -57,6 +57,7 @@ from .eigen import (
     DenseLimitError,
     NoConvergenceError,
     SpectralBasis,
+    check_dense_limit,
     full_dense_eigendecomposition,
     load_basis,
     save_basis,
@@ -218,6 +219,7 @@ def _cmd_eig(s: dict) -> int:
     op = normalize(g, s["mode"])
     t0 = time.perf_counter()
     if s["dense"]:
+        check_dense_limit(op.n, s["dense_limit"])  # before to_dense allocates n^2 floats
         basis = full_dense_eigendecomposition(
             op.to_dense(), dense_limit=s["dense_limit"]
         )

@@ -10,8 +10,8 @@ Two independent routes to the same quantities:
     sparse operators where only a few extremal pairs are needed.
 
 ``full_dense_eigendecomposition``
-    Classical dense path, split as in LAPACK: Householder reduction to
-    tridiagonal form T = Q^T A Q, implicit-shift QL for the eigenvalues of
+    Classical dense path, split as in LAPACK: blocked Householder reduction
+    to tridiagonal form T = Q^T A Q, implicit-shift QL for the eigenvalues of
     T, inverse iteration on all shifts at once for the eigenvectors of T,
     and a compact-WY back-transform that applies Q without forming it.
     Quadratic storage, cubic time, all n pairs.  Serves as the reference
@@ -36,6 +36,10 @@ from .sparse import CsrMatrix
 DENSE_LIMIT_DEFAULT = 2000
 
 _FSB_MAGIC = b"FSB1"
+
+# Reflectors per panel in _tridiagonalize, the row count below which it runs
+# unblocked, and reflectors per compact-WY group in _apply_q.
+_BLOCK = 32
 
 
 class EigenError(Exception):
@@ -131,41 +135,67 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     reflectors: step i leaves u_i in z[i, :i] and h[i] = |u_i|^2 / 2, so
     P_i = I - u_i u_i^T / h[i] (h[i] == 0: no reflection).  With
     Q = P_{n-1} ... P_2, Q^T a Q is tridiagonal; _apply_q applies Q.
-    Classical tred2 with the inner loops replaced by rank-2 BLAS updates.
+
+    tred2's steps (per-row scaling, zero-scale rows skipped), blocked as in
+    LAPACK dsytrd/dlatrd: while more than _BLOCK rows remain, a panel of
+    _BLOCK steps defers its rank-2 updates q u^T + u q^T.  Step i brings
+    only row i up to date with the panel's earlier (q, u) pairs and
+    corrects its product z[:i, :i] u for them; one rank-2*_BLOCK GEMM per
+    panel then applies all of them to the rows left.  The last _BLOCK rows
+    take panels of one step, which is tred2's arithmetic bit for bit.
     """
     z = np.array(a, dtype=np.float64, copy=True)
     n = z.shape[0]
     e = np.zeros(n)
     hs = np.zeros(n)
     scratch = np.empty((n, n))
-    lhs = np.empty((n, 2))
-    rhs = np.empty((2, n))
-    for i in range(n - 1, 0, -1):
-        l = i - 1
-        scale = float(np.sum(np.abs(z[i, :i]))) if l > 0 else 0.0
-        if scale == 0.0:
-            e[i] = z[i, l]
-            continue
-        z[i, :i] /= scale
-        u = z[i, :i]
-        h = float(u @ u)
-        f = u[l]
-        g = -np.copysign(np.sqrt(h), f)
-        e[i] = scale * g
-        h -= f * g
-        z[i, l] = f - g
-        hs[i] = h
-        p = (z[:i, :i] @ u) / h
-        k = float(u @ p) / (2.0 * h)
-        q = p - k * u
-        # Rank-2 update as one GEMM into scratch to avoid the temporaries
-        # np.outer would allocate each step.
-        lhs[:i, 0] = q
-        lhs[:i, 1] = u
-        rhs[0, :i] = u
-        rhs[1, :i] = q
-        np.matmul(lhs[:i], rhs[:, :i], out=scratch[:i, :i])
-        z[:i, :i] -= scratch[:i, :i]
+    top = n - 1
+    for nb in (_BLOCK, 1):
+        # Panel step j keeps q in column 2j of lhs and u in column 2j + 1,
+        # and the same vectors as rows 2j (u) and 2j + 1 (q) of rhs, so
+        # lhs @ rhs sums q u^T + u q^T over the panel's steps.
+        lhs = np.empty((n, 2 * nb))
+        rhs = np.empty((2 * nb, n))
+        while top >= nb:  # steps top ... top - nb + 1, the last one >= 1
+            reflected = False
+            for j in range(nb):
+                i = top - j
+                l = i - 1
+                c = 2 * j
+                if j:
+                    z[i, : i + 1] -= lhs[: i + 1, :c] @ rhs[:c, i]
+                scale = float(np.sum(np.abs(z[i, :i]))) if l > 0 else 0.0
+                if scale == 0.0:
+                    e[i] = z[i, l]
+                    lhs[:, c : c + 2] = 0.0
+                    rhs[c : c + 2] = 0.0
+                    continue
+                z[i, :i] /= scale
+                u = z[i, :i]
+                h = float(u @ u)
+                f = u[l]
+                g = -np.copysign(np.sqrt(h), f)
+                e[i] = scale * g
+                h -= f * g
+                z[i, l] = f - g
+                hs[i] = h
+                reflected = True
+                p = z[:i, :i] @ u
+                if j:
+                    p -= lhs[:i, :c] @ (rhs[:c, :i] @ u)
+                p /= h
+                k = float(u @ p) / (2.0 * h)
+                q = p - k * u
+                lhs[:i, c] = q
+                lhs[:i, c + 1] = u
+                rhs[c, :i] = u
+                rhs[c + 1, :i] = q
+            top -= nb
+            if not reflected:  # as tred2 skips a zero-scale step's update
+                continue
+            # One GEMM into scratch, without the temporaries of np.outer.
+            np.matmul(lhs[:i], rhs[:, :i], out=scratch[:i, :i])
+            z[:i, :i] -= scratch[:i, :i]
     return np.diagonal(z).copy(), e, z, hs
 
 
@@ -173,14 +203,14 @@ def _apply_q(z: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Q @ y, in place in y, for the Q that _tridiagonalize encodes in (z, h);
     P_2 acts first.
 
-    Each group of up to 32 consecutive reflectors, as unit vectors V
+    Each group of up to _BLOCK consecutive reflectors, as unit vectors V
     ordered from the highest step down, multiplies out to I - V T V^T in
     compact-WY form (Schreiber & Van Loan, 1989), with T the inverse of
     I/2 + strict_upper(V^T V) (the UT transform): three GEMMs per group.
     """
     steps = np.flatnonzero(h)
-    for start in range(0, steps.shape[0], 32):
-        idx = steps[start : start + 32][::-1]
+    for start in range(0, steps.shape[0], _BLOCK):
+        idx = steps[start : start + _BLOCK][::-1]
         rows = int(idx[0])
         # u_i lives in z[i, :i]; mask the rest of each row's prefix.
         inside = np.arange(rows)[:, None] < idx[None, :]
@@ -317,6 +347,15 @@ def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, _apply_q(z, h, _tridiagonal_eigenvectors(d, e, w))
 
 
+def check_dense_limit(n: int, dense_limit: int) -> None:
+    """Raise DenseLimitError if a dense decomposition of order n exceeds
+    dense_limit.  A caller that must build the dense matrix checks first."""
+    if n > dense_limit:
+        raise DenseLimitError(
+            f"dense decomposition refused for n={n} above the limit {dense_limit}"
+        )
+
+
 def full_dense_eigendecomposition(
     a: np.ndarray, dense_limit: int = DENSE_LIMIT_DEFAULT
 ) -> SpectralBasis:
@@ -325,16 +364,12 @@ def full_dense_eigendecomposition(
     dense_symmetric_eig supplies the pairs (QL eigenvalues, inverse
     iteration eigenvectors, compact-WY back-transform); this adds the
     magnitude order, canonical signs and residuals.  Guards against
-    accidental cubic blowups: refuses n above dense_limit.
+    accidental cubic blowups: refuses n above dense_limit (check_dense_limit).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n > dense_limit:
-        raise DenseLimitError(
-            f"dense decomposition refused for n={n} above the limit {dense_limit}"
-        )
+    check_dense_limit(a.shape[0], dense_limit)
     w, v = dense_symmetric_eig(a)
     order = magnitude_order(w)
     w = w[order]

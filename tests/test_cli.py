@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through main(), on small synthetic inputs."""
 
+import hashlib
 import json
 import re
 import struct
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fairspectral import eigen
 from fairspectral.cli import main
 from fairspectral.eigen import SpectralBasis, load_basis, save_basis
+from fairspectral.sparse import CsrMatrix
 
 
 def run(*argv):
@@ -176,6 +178,31 @@ class TestEig:
                    "--dense-limit", "10", "--out", str(tmp_path / "x.bin"))
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_dense_size_guard_refuses_before_densifying(self, tmp_path, capsys, monkeypatch):
+        data = gen_graph(tmp_path)
+
+        def to_dense(self):
+            raise AssertionError("densified a graph above the dense limit")
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", to_dense)
+        code = run("eig", "--graph", str(data), "--dense",
+                   "--dense-limit", "10", "--out", str(tmp_path / "x.bin"))
+        assert code == 2
+        assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, extra, digest", [
+        (200, (), "f024547713b9bd252c7c1d7f23a565ec89d2f91c9ae077fa103a2baf7289a190"),
+        (30, ("--dense",), "1c0d2897e3f9b26850b9b899ed5eae58702547e2c014e43b404497317f5b25bb"),
+    ], ids=["lanczos-k8", "dense-n30"])
+    def test_basis_bytes_are_frozen(self, tmp_path, n, extra, digest):
+        # Dense problems of order <= 32 (Lanczos's projected problems for
+        # k <= 11 among them) take the unblocked Householder steps, so a
+        # change to their rounding changes these digests.
+        data = tmp_path / "data"
+        assert run("gen", "--n", str(n), "--seed", "0", "--out", str(data)) == 0
+        assert run("eig", "--graph", str(data), "--k", "8", *extra) == 0
+        assert hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest() == digest
 
     def test_bad_k_is_usage_error(self, tmp_path):
         data = gen_graph(tmp_path)

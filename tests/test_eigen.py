@@ -197,17 +197,55 @@ class TestDenseHardSpectra:
         top = np.sort(w)[-2:]
         assert 0.0 < top[1] - top[0] <= 1e-13
 
-    def test_identical_blocks_split_the_tridiagonal_exactly(self):
+    @staticmethod
+    def check_reduction(a):
+        """Q^T a Q, with Q applied by _apply_q, is the tridiagonal matrix
+        whose (d, e) _tridiagonalize returns; returns e."""
+        n = a.shape[0]
+        d, e, z, h = eigen._tridiagonalize(a)
+        q = eigen._apply_q(z, h, np.eye(n))
+        t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
+        assert np.max(np.abs(q.T @ a @ q - t)) <= 1e-12 * np.linalg.norm(a, 2)
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+        return e
+
+    def identical_blocks(self, copies):
         rng = np.random.default_rng(30)
         b = rng.standard_normal((5, 5))
-        a = np.kron(np.eye(6), b + b.T)
-        _, e, _, _ = eigen._tridiagonalize(a)
-        assert np.count_nonzero(e[1:] == 0.0) >= 5
+        a = np.kron(np.eye(copies), b + b.T)
+        e = self.check_reduction(a)
+        assert np.count_nonzero(e[1:] == 0.0) >= copies - 1
         w, _ = self.check(a)
-        # Every eigenvalue of the block comes six times.
-        np.testing.assert_allclose(np.sort(w).reshape(5, 6),
-                                   np.repeat(np.linalg.eigvalsh(b + b.T)[:, None], 6, axis=1),
+        # Every eigenvalue of the block comes once per copy.
+        np.testing.assert_allclose(np.sort(w).reshape(5, copies),
+                                   np.repeat(np.linalg.eigvalsh(b + b.T)[:, None], copies, axis=1),
                                    rtol=0, atol=1e-12 * np.linalg.norm(a, 2))
+
+    def test_identical_blocks_split_the_tridiagonal_exactly(self):
+        self.identical_blocks(6)
+
+    # The reduction runs panels of 32 steps while more than 32 rows remain
+    # and single steps after that, so every case above with n <= 32 stays on
+    # single steps.  n = 33, 64, 65 and 100 cross the crossover and the panel
+    # edges; the n = 100 cases after them put skipped (zero-scale) steps
+    # inside panels.
+    @pytest.mark.parametrize("n", [33, 64, 65, 100])
+    def test_sizes_across_the_panel_edges(self, n):
+        a = random_sparse_symmetric(np.random.default_rng(n), n, density=0.5)
+        self.check_reduction(a)
+        self.check(a)
+
+    def test_identical_blocks_split_the_tridiagonal_exactly_inside_panels(self):
+        self.identical_blocks(20)
+
+    @pytest.mark.parametrize("a", [
+        np.diag(np.resize([3.0, -1.0, 3.0, 0.0, 2.0, -1.0], 100)),
+        np.zeros((100, 100)),
+    ], ids=["diagonal-with-repeats", "zero"])
+    def test_every_step_skipped_at_n_100(self, a):
+        self.check_reduction(a)
+        w, _ = self.check(a)
+        np.testing.assert_array_equal(np.sort(w), np.sort(np.diag(a)))
 
     def test_sbm_operator_with_a_many_fold_eigenvalue_one(self):
         g = generate_sbm(SbmConfig(n=400, seed=0))
