@@ -194,16 +194,17 @@ def _cmd_gen(s: dict) -> int:
     a = g.adjacency
     rows = a.row_indices()
     upper = rows < a.col_idx
-    lines = [f"{u} {v}" for u, v in zip(rows[upper], a.col_idx[upper])]
+    # Python ints and floats from tolist() format faster than numpy scalars,
+    # to the same text.
+    lines = [f"{u} {v}" for u, v in zip(rows[upper].tolist(), a.col_idx[upper].tolist())]
     _write(root / _EDGE_FILE, "\n".join(lines) + ("\n" if lines else ""))
 
     d = g.features.shape[1]
     header = ",".join(["sensitive"] + [f"x{i}" for i in range(1, d)] + ["label"])
     body = [
-        ",".join([str(int(g.sensitive[i]))]
-                 + [repr(float(v)) for v in g.features[i, 1:]]
-                 + [str(int(g.labels[i]))])
-        for i in range(g.n)
+        ",".join([str(sens), *map(repr, noise), str(label)])
+        for sens, noise, label in zip(g.sensitive.tolist(), g.features[:, 1:].tolist(),
+                                      g.labels.tolist())
     ]
     _write(root / _NODE_FILE, "\n".join([header] + body) + "\n")
     _write(root / _SPLIT_FILE, splits.to_json() + "\n")

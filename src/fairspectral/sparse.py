@@ -17,7 +17,8 @@ class CsrMatrix:
     """Symmetric sparse matrix in CSR layout.
 
     row_ptr has length n + 1, col_idx and values have length nnz.  Column
-    indices are strictly increasing inside each row.  Symmetry is a contract
+    indices are strictly increasing inside each row (checked here: matvec
+    would sum a duplicate that to_dense overwrites).  Symmetry is a contract
     of the callers (both halves are stored explicitly).
     """
 
@@ -40,6 +41,8 @@ class CsrMatrix:
             raise ValueError("col_idx and values must have equal length")
         if self.col_idx.size and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column index out of range")
+        if np.any((np.diff(self.row_indices()) == 0) & (np.diff(self.col_idx) <= 0)):
+            raise ValueError("column indices must be strictly increasing inside each row")
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.flags.writeable = False
 
@@ -107,7 +110,9 @@ def csr_from_edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    order = np.lexsort((cols, rows))
+    # rows * n + cols orders in-range entries as (row, col) does; the sort
+    # is stable, so duplicates are summed in input order.
+    order = np.argsort(rows * n + cols, kind="stable")
     rows, cols, values = rows[order], cols[order], values[order]
     if rows.size:
         keep = np.concatenate([[True], (np.diff(rows) != 0) | (np.diff(cols) != 0)])
@@ -120,11 +125,18 @@ def csr_from_edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
 
 
 def is_symmetric(a: CsrMatrix, tol: float = 0.0) -> bool:
+    """A equals its transpose, values within tol.
+
+    Storage is in (row, col) order, so a stable sort by column lists the
+    transpose's entries in the same order; A is symmetric when that list
+    matches storage entry for entry.
+    """
     rows = a.row_indices()
-    fwd = np.lexsort((a.col_idx, rows))
-    bwd = np.lexsort((rows, a.col_idx))
+    # The same permutation in the narrowest dtype that holds every column:
+    # numpy's stable sort is a radix sort for integers of 16 bits or less.
+    t = np.argsort(a.col_idx.astype(np.min_scalar_type(a.n - 1)), kind="stable")
     return (
-        np.array_equal(rows[fwd], a.col_idx[bwd])
-        and np.array_equal(a.col_idx[fwd], rows[bwd])
-        and np.all(np.abs(a.values[fwd] - a.values[bwd]) <= tol)
+        np.array_equal(a.col_idx[t], rows)
+        and np.array_equal(rows[t], a.col_idx)
+        and np.all(np.abs(a.values[t] - a.values) <= tol)
     )

@@ -110,6 +110,24 @@ class TestGen:
         for name in ("edges.txt", "nodes.csv", "splits.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("argv, digests", [
+        (("--n", "200", "--seed", "0"), {
+            "edges.txt": "653bf2fd66b5ef5c345f2cf3244c910752782a25e8f6a821a2ef14a501643012",
+            "nodes.csv": "230738543289fc1e10a4d71c20ff1e860586882e35d8105a3e529135efbbea6f",
+            "splits.json": "e47546ff0fea2eaae67c1806b96b9c906156e5714507b7385c6d692fb5eae5be",
+        }),
+        ((), {
+            "edges.txt": "dfd6024737c585233d7c9c0a5e13b5f5abbeb3f87ad7dcb5c1b4c7ff6eee4018",
+            "nodes.csv": "8ec02bb15b50ac4a1ecd7e1ec6f861076433a5d97047f5c71badcfd75b02b8be",
+            "splits.json": "732258546c2ffccfffac1440e6fcbcf8526953ee5a4c691dcb7db347a9a1eb16",
+        }),
+    ], ids=["n200-seed0", "default"])
+    def test_files_are_frozen(self, tmp_path, argv, digests):
+        out = tmp_path / "data"
+        assert run("gen", *argv, "--out", str(out)) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_invalid_probability_is_usage_error(self, tmp_path, capsys):
         code = run("gen", "--n", "20", "--p-in", "1.5",
                    "--out", str(tmp_path / "bad"))

@@ -9,9 +9,13 @@ that are computed right here in the test.
 
 import itertools
 import json
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairspectral.eigen import full_dense_eigendecomposition
 from fairspectral.graph import (
@@ -20,6 +24,12 @@ from fairspectral.graph import (
     SbmConfig,
     SplitError,
     SplitMasks,
+    _read_edge_ids_bulk,
+    _read_edge_ids_lines,
+    _read_edge_pairs,
+    _read_table,
+    _read_table_bulk,
+    _read_table_lines,
     generate_sbm,
     load_graph,
     make_splits,
@@ -182,10 +192,217 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=r"^node table line 5: non-numeric cell$"):
             load_graph(edges, nodes, "sensitive", "label")
 
+    @pytest.mark.parametrize("bad, message", [
+        ("1 2 3", "expected two ids"),
+        ("1 x", "non-integer id"),
+        ("0 4", r"id out of range \[0, 4\)"),
+    ])
+    def test_edge_list_errors_name_the_file_line(self, tmp_path, bad, message):
+        # Comment, blank and comment-only lines count: the bad pair is on line 6.
+        edge_text = f"# header\n\n0 1  # first\n   # indented\n\t\n{bad}\n2 3\n"
+        edges, nodes = write_graph_files(tmp_path, edge_text, NODES_4)
+        with pytest.raises(GraphFormatError, match=rf"^edge list line 6: {message}$"):
+            load_graph(edges, nodes, "sensitive", "label")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2.0", "expected 3 cells, got 2"),
+        ("1,2.0,1,0", "expected 3 cells, got 4"),
+        ("1,nan,1", "non-finite cell"),
+        ("1,2.0,-inf", "non-finite cell"),
+    ])
+    def test_node_table_errors_name_the_file_line(self, tmp_path, bad, message):
+        node_text = f"\nsensitive,x1,label\n0,0.5,0\n  \n\n{bad}\n0,1.5,1\n"
+        edges, nodes = write_graph_files(tmp_path, "", node_text)
+        with pytest.raises(GraphFormatError, match=rf"^node table line 6: {message}$"):
+            load_graph(edges, nodes, "sensitive", "label")
+
     def test_missing_column_rejected(self, tmp_path):
         edges, nodes = write_graph_files(tmp_path, "", NODES_4)
         with pytest.raises(GraphFormatError):
             load_graph(edges, nodes, "sensitive", "target")
+
+
+# Files for the two routes of each reader.  Every file below is one that
+# np.loadtxt might read differently from the line readers: ids that int()
+# takes and loadtxt does not ("1_0", "٣") or the reverse, tabs, CRLF,
+# trailing comments, blank and whitespace-only lines, "#" inside a node
+# table cell, reversed, repeated and self-loop pairs, and no pairs at all.
+N_IDS = 12
+GOOD_ID = st.one_of(
+    st.integers(0, N_IDS - 1).map(str),
+    st.integers(0, N_IDS - 1).map("+{}".format),
+    st.integers(0, N_IDS - 1).map("0{}".format),
+)
+ODD_IDS = ["1_0", "٣", "١١", "-1", str(N_IDS), "99999999999999999999", "1.0", "1e1", "0x1", "x", ""]
+ODD_ID = st.sampled_from(ODD_IDS)
+EDGE_FILLER = st.sampled_from(["", "   ", "\t", "# comment", "  #", "#0 1"])
+NEWLINE = st.sampled_from(["\n", "\r\n"])
+
+
+def edge_line(first, second):
+    return st.builds("{}{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), first,
+                     st.sampled_from([" ", "\t", "  ", " \t "]), second,
+                     st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " # c", "#c"]))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A well-formed edge list, or one with a single odd line in it."""
+    good = edge_line(GOOD_ID, GOOD_ID)
+    lines = draw(st.lists(st.one_of(good, good, EDGE_FILLER), max_size=12))
+    if lines and draw(st.booleans()):  # repeat a line, reversed or as is
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        lines.append(" ".join(line.split("#")[0].split()[::-1]) if draw(st.booleans()) else line)
+    if draw(st.booleans()):
+        odd = draw(st.one_of(edge_line(ODD_ID, GOOD_ID), edge_line(GOOD_ID, ODD_ID), GOOD_ID,
+                             st.builds("{} {} {}".format, GOOD_ID, GOOD_ID, GOOD_ID)))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    ends = [draw(NEWLINE) for _ in lines]
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+GOOD_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.builds("{}{}.{:025d}e{}".format, st.sampled_from(["", "+", "-"]),  # 45 digits to round
+              st.integers(0, 10**20), st.integers(0, 10**25 - 1), st.integers(-330, 280)),
+    st.sampled_from([" 1.5 ", "  2", ".5", "5.", "+2", "1e3", "-0.0"]),
+)
+ODD_CELLS = ["1_0", "٣", "١.٥", "inf", "-inf", "nan", "1e999", "x", "", "1#2", "2 #", "#",
+             "1 2", "1.5d3", "0x1p3"]
+ODD_CELL = st.sampled_from(ODD_CELLS)
+
+
+@st.composite
+def node_table_texts(draw):
+    """A well-formed node table, or one with a single fault in it."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(GOOD_CELL, min_size=width, max_size=width), max_size=10))
+    fault = draw(st.sampled_from(["none"] * 4 + ["cell", "extra", "missing", "blank", "no header"]))
+    if rows and fault in ("cell", "extra", "missing"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "cell":
+            row[draw(st.integers(0, width - 1))] = draw(ODD_CELL)
+        elif fault == "extra":
+            row.append(draw(GOOD_CELL))
+        else:
+            del row[draw(st.integers(0, width - 1))]
+    body = [delim.join(r) for r in rows]
+    # Empty lines anywhere; a whitespace-only one in the body is a fault
+    # for loadtxt alone, and before the header for neither reader.
+    for empty in ["  " if fault == "blank" else ""] + [""] * draw(st.integers(0, 2)):
+        body.insert(draw(st.integers(0, len(body))), empty)
+    blank_lines = st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)
+    header = draw(blank_lines) + [delim.join(f"c{i}" for i in range(width))]
+    lines = draw(blank_lines) if fault == "no header" else header + body
+    ends = [draw(NEWLINE) for _ in lines]
+    return "".join(ln + end for ln, end in zip(lines, ends))
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcomes(path, *readers):
+    """Each reader's result on path, or the message of the GraphFormatError
+    it raises.  No warning may escape any of them."""
+    results = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for read in readers:
+            try:
+                results.append(read(path))
+            except GraphFormatError as exc:
+                results.append(str(exc))
+    assert not caught
+    return results
+
+
+def check_edge_routes(path):
+    """The bulk route declines or returns the line reader's ids, and the
+    sort-based dedup gives np.unique's pairs or the line reader's message."""
+    lines, bulk, pairs = outcomes(path, partial(_read_edge_ids_lines, n=N_IDS),
+                                  partial(_read_edge_ids_bulk, n=N_IDS),
+                                  partial(_read_edge_pairs, n=N_IDS))
+    if isinstance(lines, str):
+        assert bulk is None and pairs == lines
+        return
+    assert bulk is None or same_array(bulk, lines)
+    lo_hi = np.sort(lines, axis=1)
+    assert same_array(pairs, np.unique(lo_hi[lo_hi[:, 0] != lo_hi[:, 1]], axis=0).reshape(-1, 2))
+
+
+def check_table_routes(path):
+    """The bulk route declines or returns the line reader's table, and so
+    does the reader, or it raises the line reader's message."""
+    lines, bulk, table = outcomes(path, _read_table_lines, _read_table_bulk, _read_table)
+    if isinstance(lines, str):
+        assert bulk is None and table == lines
+        return
+    for got in (bulk, table):
+        assert got is None or (got[0] == lines[0] and same_array(got[1], lines[1]))
+
+
+class TestBulkReadersMatchLineReaders:
+    """The line readers define the file formats; the bulk readers either
+    return exactly their arrays or decline (None), and no warning escapes."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edge_list_texts())
+    def test_edge_lists(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        check_edge_routes(path)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(node_table_texts())
+    def test_node_tables(self, tmp_path, text):
+        path = tmp_path / "nodes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        check_table_routes(path)
+
+    @pytest.mark.parametrize("odd", ODD_IDS)
+    def test_each_odd_id(self, tmp_path, odd):
+        path = tmp_path / "edges.txt"
+        for line in (f"{odd} 1", f"1 {odd}"):
+            path.write_text(f"# c\n0 1\n{line}\n2 3\n", encoding="utf-8")
+            check_edge_routes(path)
+
+    @pytest.mark.parametrize("odd", ODD_CELLS)
+    def test_each_odd_cell(self, tmp_path, odd):
+        path = tmp_path / "nodes.csv"
+        for col in range(3):
+            row = ["0", "1.5", "1"]
+            row[col] = odd
+            path.write_text("a,b,c\n1,2,3\n" + ",".join(row) + "\n", encoding="utf-8")
+            check_table_routes(path)
+
+    @pytest.mark.parametrize("text", ["a,b,c\n1,2\n3,4\n", "a,b\n1,2,3\n", "a\tb\n1\n"])
+    def test_every_row_of_another_width(self, tmp_path, text):
+        path = tmp_path / "nodes.csv"
+        path.write_text(text, encoding="utf-8")
+        check_table_routes(path)
+
+    def test_bulk_routes_take_well_formed_files(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(b"# c\r\n\r\n 3\t+1 # c\r\n1 03\n  \n2 2\n")
+        np.testing.assert_array_equal(_read_edge_ids_bulk(edges, N_IDS), [[3, 1], [1, 3], [2, 2]])
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_bytes(b"\n a , b \r\n1, -2.5\r\n\r\n+3 ,.5\n")
+        names, rows = _read_table_bulk(nodes)
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(rows, [[1.0, -2.5], [3.0, 0.5]])
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n", "1_0 2\n", "0 ٣\n"])
+    def test_edge_lists_the_bulk_route_declines(self, tmp_path, text):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(text, encoding="utf-8")
+        assert _read_edge_ids_bulk(edges, N_IDS) is None
+        assert _read_edge_ids_lines(edges, N_IDS).shape[1] == 2
 
 
 class TestNormalize:

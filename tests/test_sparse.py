@@ -61,6 +61,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CsrMatrix(2, [0, 1, 2], [0, 1], [1.0])
 
+    @pytest.mark.parametrize("col_idx", [[1, 1, 0], [1, 0, 0]], ids=["duplicate", "unsorted"])
+    def test_row_columns_must_strictly_increase(self, col_idx):
+        # With a duplicate, matvec would give row 0 = 3 x_1 while to_dense
+        # keeps only the last value, 2.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CsrMatrix(2, [0, 2, 3], col_idx, [1.0, 2.0, 3.0])
+
+    def test_columns_may_drop_across_rows(self):
+        m = CsrMatrix(2, [0, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(m.to_dense(), [[1.0, 2.0], [3.0, 0.0]])
+
     def test_empty_matrix(self):
         m = CsrMatrix(3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
         assert m.nnz == 0
@@ -152,6 +163,16 @@ class TestFromEdges:
         m = csr_from_edges(3, [], [], [])
         assert m.nnz == 0
 
+    def test_duplicates_sum_in_input_order(self):
+        # np.add.at adds in input order, so equal bits mean the same order.
+        rng = np.random.default_rng(7)
+        n, m_entries = 6, 400
+        rows, cols = rng.integers(0, n, m_entries), rng.integers(0, n, m_entries)
+        vals = rng.standard_normal(m_entries) * 10.0 ** rng.integers(-8, 8, m_entries)
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), vals)
+        assert csr_from_edges(n, rows, cols, vals).to_dense().tobytes() == dense.tobytes()
+
     def test_matches_dense_accumulation(self):
         rng = np.random.default_rng(4)
         n, m_entries = 20, 300
@@ -178,6 +199,27 @@ class TestSymmetry:
         m = csr_from_edges(2, [0, 1], [1, 0], [1.0, 2.0])
         assert not is_symmetric(m)
         assert is_symmetric(m, tol=1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=60))
+def test_symmetry_check_matches_dense_transpose(seed, n, entries):
+    """Structure and values: symmetrized COO input, then one entry's twin
+    removed or changed, or left alone."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, entries), rng.integers(0, n, entries)
+    vals = rng.integers(1, 4, entries).astype(np.float64)
+    rows, cols, vals = (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                        np.concatenate([vals, vals]))
+    fault = rng.integers(3)
+    if entries and fault == 1:
+        rows, cols, vals = rows[1:], cols[1:], vals[1:]
+    elif entries and fault == 2:
+        vals[0] += 1.0
+    m = csr_from_edges(n, rows, cols, vals)
+    dense = m.to_dense()
+    assert bool(is_symmetric(m)) == np.array_equal(dense, dense.T)
 
 
 @settings(max_examples=40, deadline=None)
