@@ -5,10 +5,9 @@ float64 array and remembers how it was produced; ``backward`` walks the tape
 in reverse topological order and accumulates vector-Jacobian products into
 every tensor marked as a parameter.  The op set is closed, small and dense:
 matmul, add and elementwise multiply (both with numpy-style broadcasting),
-scale, concat and slice over columns, transpose, relu, row softmax, layer
-norm, and a masked cross-entropy head.  Anything a model needs must be
-phrased in these; constant inputs such as propagated features are computed
-outside the graph.
+column concat, relu, multi-head attention, layer norm, and a masked
+cross-entropy head.  Anything a model needs must be phrased in these;
+constant inputs such as propagated features are computed outside the graph.
 
 Gradients for broadcast ops are reduced back to the parent shape by summing
 the broadcast axes.  Graphs are built eagerly and are deterministic: the
@@ -125,21 +124,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _node(a.value * c, (a,), (lambda g: g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(
         a.value @ b.value,
         (a, b),
         (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
     )
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _node(a.value.T, (a,), (lambda g: g.T,))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -151,30 +141,55 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[:, j0:j1] = g
-        return out
-
-    return _node(a.value[:, j0:j1], (a,), (vjp,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0.0
     return _node(a.value * mask, (a,), (lambda g: g * mask,))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product self-attention, ``heads`` heads over equal column
+    blocks: block h of the output is ``softmax(q_h k_h^T / sqrt(d_h)) v_h``.
 
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - inner)
+    The backward keeps only each head's probabilities.  The scale multiplies
+    the scores, not q, gh is a contiguous copy and dk is (q_h^T gs)^T: BLAS
+    rounding can depend on each, and frozen training digests pin the bytes.
+    """
+    qv, kv, vv = q.value, k.value, v.value
+    width = qv.shape[1]
+    if heads < 1 or width % heads != 0:
+        raise ValueError(f"heads ({heads}) must divide the width ({width})")
+    d_head = width // heads
+    c = 1.0 / np.sqrt(d_head)
+    blocks = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
+    probs = []
+    out = np.empty_like(vv)
+    for b in blocks:
+        p = qv[:, b] @ kv[:, b].T
+        p *= c
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, b] = p @ vv[:, b]
+        probs.append(p)
+    memo = []
 
-    return _node(out, (a,), (vjp,))
+    def grads(g):
+        """(dq, dk, dv), made on the first call for all three parents."""
+        if not memo:
+            dq, dk, dv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
+            for b, p in zip(blocks, probs):
+                gh = g[:, b].copy()
+                dv[:, b] = p.T @ gh
+                gs = gh @ vv[:, b].T
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= c
+                dq[:, b] = gs @ kv[:, b]
+                dk[:, b] = (qv[:, b].T @ gs).T
+            memo.extend((dq, dk, dv))
+        return memo
+
+    return _node(out, (q, k, v), tuple(lambda g, i=i: grads(g)[i] for i in range(3)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -343,7 +343,7 @@ def _int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _bench_ksweep(s: dict) -> dict:
+def _cmd_bench(s: dict) -> int:
     k_values = _int_list(s["k_values"], "k_values")
     seeds = _int_list(s["seeds"], "seeds")
     runs = []
@@ -372,14 +372,8 @@ def _bench_ksweep(s: dict) -> dict:
               f" +- {results[-1]['accuracy_sd']:.4f},"
               f" sp gap {results[-1]['delta_sp_mean']:.4f}"
               f" +- {results[-1]['delta_sp_sd']:.4f}")
-    return {"suite": "ksweep", "n": s["n"], "results": results}
-
-
-def _cmd_bench(s: dict) -> int:
-    if s["suite"] != "ksweep":
-        raise CliError(f"suite must be ksweep, got {s['suite']!r}")
-    payload = _bench_ksweep(s)
     if s["out"]:
+        payload = {"n": s["n"], "results": results}
         _write(Path(s["out"]), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -394,8 +388,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means numerical failure.
+        raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
         settings = _settings(args)
         return _COMMANDS[args.command](settings)

@@ -115,11 +115,10 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("out", str, "runs", "parent directory for run outputs"),
     ),
     "bench": _opts(
-        Option("suite", str, "ksweep", "benchmark suite: ksweep"),
         Option("n", int, 2000, "generated graph size"),
-        Option("k_values", str, "1,2,4,8", "comma-separated K list (ksweep)"),
+        Option("k_values", str, "1,2,4,8", "comma-separated K list"),
         Option("seeds", str, "0,1,2", "comma-separated seed list"),
-        Option("epochs", int, 300, "training epochs per run (ksweep)"),
+        Option("epochs", int, 300, "training epochs per run"),
         Option("out", str, "", "write the JSON report here instead of stdout"),
     ),
 }

@@ -198,28 +198,12 @@ def modulate_spectrum(params: AttentionParams, encoding: np.ndarray) -> Tensor:
     the K eigenvalues, the feed-forward stage transforms each row, and the
     final projection reads out one scalar per eigenvalue.
     """
-    d_encode = encoding.shape[1]
-    heads = params.n_heads
-    if d_encode % heads != 0:
-        raise ValueError(f"n_heads ({heads}) must divide d_encode ({d_encode})")
-    d_head = d_encode // heads
-
     x = ad.constant(encoding)
     normed = ad.layer_norm(x, params.ln1_gain, params.ln1_bias)
     q = ad.matmul(normed, params.wq)
     k = ad.matmul(normed, params.wk)
     v = ad.matmul(normed, params.wv)
-    head_outs = []
-    for h in range(heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(d_head))
-        head_outs.append(ad.matmul(ad.softmax_rows(scores), vh))
-    mixed = head_outs[0]
-    for extra in head_outs[1:]:
-        mixed = ad.concat_cols(mixed, extra)
+    mixed = ad.attention(q, k, v, params.n_heads)
     attended = ad.add(ad.matmul(mixed, params.wo), x)
 
     normed2 = ad.layer_norm(attended, params.ln2_gain, params.ln2_bias)

@@ -110,6 +110,8 @@ def csr_from_edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError("row index out of range")
     # rows * n + cols orders in-range entries as (row, col) does; the sort
     # is stable, so duplicates are summed in input order.
     order = np.argsort(rows * n + cols, kind="stable")

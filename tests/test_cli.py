@@ -54,7 +54,19 @@ class TestParserBasics:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run()
-        assert excinfo.value.code == 2
+        assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--epochs", "abc"),
+        ("train", "--bogus", "1"),
+    ], ids=["invalid-int", "unknown-flag"])
+    def test_argparse_error_is_usage_error(self, capsys, argv):
+        # argparse's own exit code, 2, would read as a numerical failure.
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
         "n = 30\n",
@@ -361,6 +373,28 @@ class TestTrain:
         assert settings["basis"] == "data/basis.bin"
         assert "test acc" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eig_args, train_args, history, metrics", [
+        (("--k", "5"), ("--hidden", "8", "--layers", "1", "--encode-dim", "4"),
+         "5559845c7f39fa4c8c981cb079bb7c242a85bd51de0bbdab3580987a36e4bdad",
+         "fad3828a7190253b4b143143d6825e2aa366627d044219f507c35eae0240be2b"),
+        (("--dense", "--k", "120"), (),
+         "1733b50561e9bfad0150365e766fe9b1791b15dd369b5d3b6f5220bfc60d5f42",
+         "19a71d6ce8a86e060dc940cd46ee66735475e5881a513656776a69759f731a9e"),
+    ], ids=["lanczos-k5", "dense-k120"])
+    def test_training_bytes_are_frozen(self, tmp_path, eig_args, train_args,
+                                       history, metrics):
+        # The second case trains at K = n with the default model, so every
+        # K x K attention array is on the path to these bytes.
+        data, out = tmp_path / "data", tmp_path / "runs"
+        assert run("gen", "--n", "120", "--p-in", "0.2", "--p-out", "0.05",
+                   "--seed", "7", "--out", str(data)) == 0
+        assert run("eig", "--graph", str(data), *eig_args) == 0
+        assert run("train", "--graph", str(data), "--epochs", "40", "--seed", "7",
+                   *train_args, "--out", str(out)) == 0
+        run_dir = self.find_run_dir(out)
+        for name, digest in (("history.json", history), ("metrics.json", metrics)):
+            assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, name
+
     def test_different_basis_gets_its_own_run_dir(self, tmp_path):
         data = gen_graph(tmp_path)
         out = tmp_path / "runs"
@@ -471,7 +505,7 @@ class TestUnusableValues:
 class TestBench:
     def test_ksweep_suite(self, tmp_path):
         out = tmp_path / "ksweep.json"
-        assert run("bench", "--suite", "ksweep", "--n", "40",
+        assert run("bench", "--n", "40",
                    "--k-values", "1,2", "--seeds", "0", "--epochs", "5",
                    "--out", str(out)) == 0
         payload = json.loads(out.read_text())
@@ -484,7 +518,7 @@ class TestBench:
         # eig's Lanczos route and its training settings from train's, so one
         # seed's row is the result of gen, eig and train.
         out = tmp_path / "ksweep.json"
-        assert run("bench", "--suite", "ksweep", "--n", "200", "--k-values", "3",
+        assert run("bench", "--n", "200", "--k-values", "3",
                    "--seeds", "2", "--epochs", "8", "--out", str(out)) == 0
         row = json.loads(out.read_text())["results"][0]
         data, runs = tmp_path / "data", tmp_path / "runs"
@@ -497,16 +531,9 @@ class TestBench:
         assert row["accuracy_mean"] == metrics["accuracy"]
         assert row["delta_sp_mean"] == metrics["delta_sp"]
 
-    def test_unknown_suite_is_usage_error(self):
-        assert run("bench", "--suite", "marathon") == 1
-
-    def test_runtime_suite_is_gone(self, capsys):
-        assert run("bench", "--suite", "runtime") == 1
-        assert capsys.readouterr().err.startswith("error: suite must be ksweep")
-
     @pytest.mark.parametrize("bad", ["", "a,b"])
     def test_malformed_k_values(self, bad):
-        assert run("bench", "--suite", "ksweep", "--k-values", bad,
+        assert run("bench", "--k-values", bad,
                    "--seeds", "0") == 1
 
 

@@ -233,8 +233,8 @@ class TestPropagationForward:
             h0 = ad.matmul(ad.constant(x), p.input_map)
             h = h0
             for _ in range(n_steps):
-                h = ad.add(ad.scale(ad.matmul(ad.constant(s), h), 1.0 - theta),
-                           ad.scale(h0, theta))
+                h = ad.add(ad.mul(ad.matmul(ad.constant(s), h), ad.constant(1.0 - theta)),
+                           ad.mul(h0, ad.constant(theta)))
             return ad.matmul(h, p.classifier)
 
         z = propagate_features(csr_from_dense(s), x, n_steps, theta)

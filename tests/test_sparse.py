@@ -163,6 +163,11 @@ class TestFromEdges:
         m = csr_from_edges(3, [], [], [])
         assert m.nnz == 0
 
+    @pytest.mark.parametrize("row", [-1, 3])
+    def test_row_out_of_range(self, row):
+        with pytest.raises(ValueError, match="row index out of range"):
+            csr_from_edges(3, [row], [0], [1.0])
+
     def test_duplicates_sum_in_input_order(self):
         # np.add.at adds in input order, so equal bits mean the same order.
         rng = np.random.default_rng(7)
