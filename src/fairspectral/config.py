@@ -93,7 +93,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("n", int, 100, "synthetic operator size"),
         Option("l_max", int, 200, "largest convolution depth examined"),
         Option("seed", int, 0, "instance seed"),
-        Option("out", str, "", "write the JSON report here instead of stdout"),
+        Option("out", str, "", "JSON report file; stdout always gets the summary lines"),
     ),
     "train": _opts(
         Option("graph", str, "data", "directory with edges.txt, nodes.csv, splits.json"),
@@ -119,7 +119,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("k_values", str, "1,2,4,8", "comma-separated K list"),
         Option("seeds", str, "0,1,2", "comma-separated seed list"),
         Option("epochs", int, 300, "training epochs per run"),
-        Option("out", str, "", "write the JSON report here instead of stdout"),
+        Option("out", str, "", "JSON report file; stdout always gets the summary lines"),
     ),
 }
 

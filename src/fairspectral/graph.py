@@ -462,26 +462,22 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
 def _sample_block_edges(
     rng: np.random.Generator, n: int, half: int, p_in: float, p_out: float
 ) -> np.ndarray:
-    """Bernoulli edges over the upper triangle, drawn 512 rows at a time to
-    bound memory at large n.  Probability depends only on whether the two
-    endpoints share a community (first half vs second half)."""
-    prob_row = np.empty(n)
-    out_pairs = []
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
-        rows = np.arange(start, stop)
-        draws = rng.random((stop - start, n))
-        for local, i in enumerate(rows):
-            prob_row[:] = p_out
-            if i < half:
-                prob_row[:half] = p_in
-            else:
-                prob_row[half:] = p_in
-            hit = draws[local] < prob_row
-            hit[: i + 1] = False  # upper triangle only
-            cols = np.flatnonzero(hit)
-            if cols.size:
-                out_pairs.append(np.stack([np.full(cols.size, i, dtype=np.int64), cols], axis=1))
-    if not out_pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(out_pairs, axis=0)
+    """Bernoulli edges (i, j), i < j, over the upper triangle, as (m, 2) rows.
+
+    Edge (i, j) is present when draw i*n + j of rng's PCG64 stream falls
+    below its probability: p_in when both endpoints lie on the same side of
+    `half`, p_out otherwise.  The i+1 lower-triangle draws before each row
+    are skipped with `advance`, not drawn, into one length-n buffer, so the
+    draws take O(n) memory, not 512 x n, and rng ends at draw n*n, where a
+    full (n, n) draw would leave it.
+    """
+    threshold = np.full(n, p_out)
+    threshold[:half] = p_in
+    buf = np.empty(n)
+    hits = []  # row i's hit columns, offset by i + 1
+    for i in range(n):
+        rng.bit_generator.advance(i + 1)
+        draws = rng.random(out=buf[: n - i - 1])
+        hits.append((draws < (threshold[i + 1:] if i < half else p_in)).nonzero()[0])
+    rows = np.repeat(np.arange(n), [h.size for h in hits])
+    return np.stack([rows, np.concatenate(hits) + rows + 1], axis=1)

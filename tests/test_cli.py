@@ -133,7 +133,13 @@ class TestGen:
             "nodes.csv": "8ec02bb15b50ac4a1ecd7e1ec6f861076433a5d97047f5c71badcfd75b02b8be",
             "splits.json": "732258546c2ffccfffac1440e6fcbcf8526953ee5a4c691dcb7db347a9a1eb16",
         }),
-    ], ids=["n200-seed0", "default"])
+        # Odd n and odd half.
+        (("--n", "1031", "--seed", "3"), {
+            "edges.txt": "f9fb504cd884473070fa7692de5c292da741bd85a7600956bdc480c91d0b07c3",
+            "nodes.csv": "19127d9fae1505af46ba4a87955cfdb43532e91eec9f59f29988b1c6e15d24a1",
+            "splits.json": "45d2dcb611dc19abe72b05a37235ce6ec09b2f42ab07d9fd310754315f9c30b5",
+        }),
+    ], ids=["n200-seed0", "default", "n1031-seed3"])
     def test_files_are_frozen(self, tmp_path, argv, digests):
         out = tmp_path / "data"
         assert run("gen", *argv, "--out", str(out)) == 0
@@ -263,6 +269,12 @@ class TestAnalyze:
         payload = json.loads(out.read_text())
         assert len(payload["checks"]) == 3
         assert all(c["verdict"] for c in payload["checks"])
+
+    def test_out_gets_the_json_and_stdout_the_summary(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert run("analyze", "--check", "principal-limit", "--n", "30", "--out", str(out)) == 0
+        assert [c["claim"] for c in json.loads(out.read_text())["checks"]] == ["principal-limit"]
+        assert capsys.readouterr().out.startswith("principal-limit: pass")
 
     def test_insufficient_depth_fails_verification(self, capsys):
         # Five steps cannot reach the limit, so the check runs cleanly but

@@ -30,6 +30,7 @@ from fairspectral.graph import (
     _read_table,
     _read_table_bulk,
     _read_table_lines,
+    _sample_block_edges,
     generate_sbm,
     load_graph,
     make_splits,
@@ -549,6 +550,24 @@ class TestGenerateSbm:
     def test_both_label_classes_present(self):
         g = generate_sbm(SbmConfig(n=400, seed=3))
         assert 0 < g.labels.sum() < g.n
+
+    # The stream contract: edge (i, j), i < j, is draw i*n + j of the seed's
+    # stream, and sampling leaves the stream where a full (n, n) draw would.
+    # n=7 has an odd half; n=1031 an odd n and more than 512 rows.
+    @pytest.mark.parametrize("n", [4, 7, 1031])
+    @pytest.mark.parametrize("p_in, p_out", [
+        (SbmConfig().p_in, SbmConfig().p_out), (1.0, 0.0),
+    ], ids=["defaults", "p_in1-p_out0"])
+    def test_edges_are_the_upper_triangle_of_one_full_draw(self, n, p_in, p_out):
+        half = n // 2
+        full, skipping = np.random.default_rng(11), np.random.default_rng(11)
+        side = np.arange(n) < half
+        prob = np.where(side[:, None] == side[None, :], p_in, p_out)
+        expected = np.argwhere(np.triu(full.random((n, n)) < prob, k=1))
+        pairs = _sample_block_edges(skipping, n, half, p_in, p_out)
+        assert pairs.dtype == np.int64
+        np.testing.assert_array_equal(pairs, expected)
+        assert skipping.random(4).tobytes() == full.random(4).tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",
