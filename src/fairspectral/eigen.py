@@ -10,10 +10,11 @@ Two independent routes to the same quantities:
     sparse operators where only a few extremal pairs are needed.
 
 ``full_dense_eigendecomposition``
-    Classical dense path, split as in LAPACK: blocked Householder reduction
-    to tridiagonal form T = Q^T A Q, implicit-shift QL for the eigenvalues of
-    T, inverse iteration on all shifts at once for the eigenvectors of T,
-    and a compact-WY back-transform that applies Q without forming it.
+    Classical dense path, split as in LAPACK dsyevd: blocked Householder
+    reduction to tridiagonal form T = Q^T A Q, divide and conquer for the
+    eigenpairs of T (leaves of at most 32 rows by implicit-shift QL and
+    inverse iteration, merges by a deflated secular equation), and a
+    compact-WY back-transform that applies Q without forming it.
     Quadratic storage, cubic time, all n pairs.  Serves as the reference
     the sparse route is checked against, and as the small-problem solver
     inside the Lanczos restarts.
@@ -38,7 +39,8 @@ DENSE_LIMIT_DEFAULT = 2000
 _FSB_MAGIC = b"FSB1"
 
 # Reflectors per panel in _tridiagonalize, the row count below which it runs
-# unblocked, and reflectors per compact-WY group in _apply_q.
+# unblocked, reflectors per compact-WY group in _apply_q, and the largest
+# leaf of the divide and conquer in _tridiagonal_eig.
 _BLOCK = 32
 
 
@@ -323,12 +325,154 @@ def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np
     return y
 
 
+def _tridiagonal_eig(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (vectors as columns) of the tridiagonal (d, e[1:]), e[0] == 0,
+    by Cuppen's divide and conquer (Numer. Math. 36, 1981; LAPACK dstedc).
+    Leaves of up to _BLOCK rows: QL values (ascending), inverse iteration.
+    Above, T is its halves at row m = n // 2, less |e[m]| where they touch,
+    plus a rank-one term; the halves recurse and _merge joins them.
+    """
+    n = d.shape[0]
+    if n <= _BLOCK:
+        w = np.sort(_tridiagonal_eigenvalues(d, e))
+        return w, _tridiagonal_eigenvectors(d, e, w)
+    m, beta = n // 2, float(e[n // 2])
+    d = d.copy()
+    d[m - 1 : m + 1] -= abs(beta)
+    w1, q1 = _tridiagonal_eig(d[:m], e[:m])
+    w2, q2 = _tridiagonal_eig(d[m:], np.append(0.0, e[m + 1 :]))
+    return _merge(w1, q1, w2, q2, beta)
+
+
+def _merge(w1: np.ndarray, q1: np.ndarray, w2: np.ndarray, q2: np.ndarray,
+           beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of diag(Q1 W1 Q1^T, Q2 W2 Q2^T) + |beta| v v^T, v = (last
+    unit vector, sign(beta) * first), i.e. of diag(Q1, Q2) (D + rho z z^T)
+    diag(Q1, Q2)^T with D = (w1, w2), |z| = 1, rho = 2 |beta|.  Deflation as
+    in LAPACK dlaed2, on D ascending: a pole with rho |z_j| <= tol keeps d_j
+    and its unit vector, as does one of a pole pair that a Givens rotation
+    decouples to within tol.  The k others go to _secular, whose roots come
+    first.  Sort, rotations and secular vectors act on the rows of S, the
+    eigenvectors in the halves' bases; Q = [Q1 S[:m]; Q2 S[m:]].
+    """
+    m, n = w1.shape[0], w1.shape[0] + w2.shape[0]
+    z = np.concatenate((q1[-1], q2[0] if beta >= 0.0 else -q2[0])) / math.sqrt(2.0)
+    rho = 2.0 * abs(beta)
+    perm = np.argsort(np.concatenate((w1, w2)), kind="stable")
+    dd, zz = np.concatenate((w1, w2))[perm].tolist(), z[perm].tolist()
+    tol = 8.0 * float(np.finfo(np.float64).eps) * max(abs(dd[0]), abs(dd[-1]), float(np.abs(z).max()))
+    keep, rotations, prev = [], [], -1
+    for j in range(n):
+        if rho * abs(zz[j]) <= tol:
+            continue
+        if prev >= 0:
+            r = math.hypot(zz[j], zz[prev])
+            c, sn = zz[j] / r, -zz[prev] / r
+            if abs((dd[j] - dd[prev]) * c * sn) <= tol:
+                zz[j], zz[prev] = r, 0.0
+                rotations.append((perm[prev], perm[j], c, sn))
+                dd[prev], dd[j] = (dd[prev] * c * c + dd[j] * sn * sn,
+                                   dd[prev] * sn * sn + dd[j] * c * c)
+            else:
+                keep.append(prev)
+        prev = j
+    if prev >= 0:
+        keep.append(prev)
+    dd, zz, flat, k = np.array(dd), np.array(zz), np.setdiff1d(np.arange(n), keep), len(keep)
+    lam, u = _secular(dd[keep], zz[keep], rho)
+    s = np.zeros((n, n))
+    s[perm[keep], :k] = u
+    s[perm[flat], np.arange(k, n)] = 1.0
+    del u
+    for a, b, c, sn in reversed(rotations):  # S = G_1 ... G_r X
+        s[[a, b]] = np.array([[c, -sn], [sn, c]]) @ s[[a, b]]
+    q = np.empty((n, n))
+    np.matmul(q1, s[:m], out=q[:m])
+    np.matmul(q2, s[m:], out=q[m:])
+    return np.concatenate((lam, dd[flat])), q
+
+
+def _secular(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of diag(d) + rho z z^T, d strictly ascending, z_j != 0,
+    rho > 0: (values ascending, vectors as columns).  Root r of g(x) =
+    1/rho + sum_j z_j^2 / (d_j - x), in (d_r, d_r+1) or right of d_k-1, is
+    kept as tau, its offset from the nearer pole.  The roots iterate
+    together, each until it converges: a step solves the two-pole model of
+    g at poles p = min(r, k - 2), p + 1 (Li's middle way, LAPACK dlaed4),
+    else bisects the bracket.  The vectors use Gu and Eisenstat's z-hat
+    (SIMAX 16, 1995; dlaed3), so they stay orthogonal however close the roots.
+    """
+    k = d.shape[0]
+    if k <= 1:
+        return d + rho * z * z, np.ones((k, k))
+    z2, eps = z * z, float(np.finfo(np.float64).eps)
+    p = np.minimum(np.arange(k), k - 2)
+    gap = np.append(np.diff(d), rho * float(z2.sum()))
+    origin, tau, lo, hi = np.arange(k), gap / 2.0, np.zeros(k), gap.copy()
+    # The model's quadratic has a root between the poles and one outside;
+    # sigma picks the first, or for the last root the one right of both.
+    sigma = np.append(np.ones(k - 1), -1.0)
+    active, first = np.arange(k), True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.size:
+            pa = p[active]
+            delta = d - d[origin[active], None]
+            delta -= tau[active, None]
+            rows = np.arange(active.size)
+            cuts = np.column_stack((rows * k, rows * k + pa + 1)).ravel()
+            t = z2 / delta
+            psi, phi = np.add.reduceat(t.ravel(), cuts).reshape(-1, 2).T
+            t /= delta
+            dpsi, dphi = np.add.reduceat(t.ravel(), cuts).reshape(-1, 2).T
+            dp, dq = delta[rows, pa], delta[rows, pa + 1]
+            del t, delta
+            w = 1.0 / rho + psi + phi
+            if first:  # at the midpoints; g < 0 puts root r nearer pole r + 1
+                right = np.flatnonzero(w[:-1] < 0.0)
+                origin[right] += 1
+                tau[right] -= gap[right]
+                lo[right], hi[right] = -gap[right], 0.0
+                first = False
+            x = tau[active]
+            done = np.abs(w) <= eps * (8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 / rho
+                                       + 3.0 * np.abs(x) * (dpsi + dphi))
+            xlo, xhi = np.where(w < 0.0, x, lo[active]), np.where(w > 0.0, x, hi[active])
+            # Model c + sp/(d_p - x) + sq/(d_q - x); the new offset t from the
+            # origin o solves c t^2 - a t + b = 0, with g = d_other - d_o.
+            sp, sq = dp * dp * dpsi, dq * dq * dphi
+            c = w - dp * dpsi - dq * dphi
+            if active[-1] == k - 1:
+                c[-1] = abs(c[-1])
+            near = origin[active] == pa
+            g = np.where(near, dq - dp, dp - dq)
+            a = c * g + sp + sq
+            b = np.where(near, sp, sq) * g
+            root = sigma[active] * np.sqrt(np.abs(a * a - 4.0 * b * c))
+            step = np.where(sigma[active] * a > 0.0, 2.0 * b / (a + root), (a - root) / (2.0 * c))
+            step = np.where((step - x) * w < 0.0, step, x - w / (dpsi + dphi))
+            step = np.where((step > xlo) & (step < xhi), step, (xlo + xhi) / 2.0)
+            stop = done | ~((step > xlo) & (step < xhi))  # or the bracket is two adjacent floats
+            lo[active], hi[active] = xlo, xhi
+            tau[active] = np.where(stop, x, step)
+            active = active[~stop]
+    delta = d[:, None] - d[origin]  # delta[j, r] = d_j - lam_r
+    delta -= tau
+    # dlaed3's z-hat: -z-hat_j^2 rho = (d_j - lam_j) prod_{r != j} (d_j - lam_r) / (d_j - d_r).
+    u = d[:, None] - d
+    np.fill_diagonal(u, 1.0)
+    np.divide(delta, u, out=u)
+    zhat = np.copysign(np.sqrt(np.abs(np.prod(u, axis=1))), z)
+    np.divide(zhat[:, None], delta, out=u)
+    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    return d[origin] + tau, u
+
+
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a dense symmetric matrix: (eigenvalues ascending,
-    eigenvectors as columns).  Householder tridiagonalization, QL values,
-    inverse iteration vectors and a compact-WY back-transform; no library
-    eigensolver.  If QL runs out of sweeps, NoConvergenceError carries the
-    partly reduced diagonal and Q, the best state in the input's coordinates.
+    eigenvectors as columns).  Householder tridiagonalization, divide and
+    conquer on T, a compact-WY back-transform; no library eigensolver.  If a
+    leaf's QL runs out of sweeps, NoConvergenceError carries Q and a diagonal
+    (QL's partly reduced one if n <= _BLOCK, else T's), in input coordinates.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -339,12 +483,17 @@ def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return a[0].copy(), np.ones((1, 1))
     d, e, z, h = _tridiagonalize(a)
+    # Above one leaf, T is scaled by a power of two to max |entry| in [1/2, 1),
+    # which the deflation tolerance assumes; the scaling is exact.
+    shift = int(np.frexp(max(np.abs(d).max(), np.abs(e).max()))[1]) if n > _BLOCK else 0
     try:
-        w = np.sort(_tridiagonal_eigenvalues(d, e))
+        w, y = _tridiagonal_eig(np.ldexp(d, -shift), np.ldexp(e, -shift))
     except NoConvergenceError as exc:
-        b = exc.basis
-        raise NoConvergenceError(str(exc), SpectralBasis(b.eigenvalues, _apply_q(z, h, b.eigenvectors))) from None
-    return w, _apply_q(z, h, _tridiagonal_eigenvectors(d, e, w))
+        diagonal = exc.basis.eigenvalues if n <= _BLOCK else d
+        raise NoConvergenceError(str(exc), SpectralBasis(diagonal, _apply_q(z, h, np.eye(n)))) from None
+    order = np.argsort(w, kind="stable")
+    y = np.take(y, order, axis=1)
+    return np.ldexp(w[order], shift), _apply_q(z, h, y)
 
 
 def check_dense_limit(n: int, dense_limit: int) -> None:
@@ -361,9 +510,9 @@ def full_dense_eigendecomposition(
 ) -> SpectralBasis:
     """All n eigenpairs of a dense symmetric matrix, magnitude-ordered.
 
-    dense_symmetric_eig supplies the pairs (QL eigenvalues, inverse
-    iteration eigenvectors, compact-WY back-transform); this adds the
-    magnitude order, canonical signs and residuals.  Guards against
+    dense_symmetric_eig supplies the pairs (Householder reduction, divide
+    and conquer on the tridiagonal matrix, compact-WY back-transform); this
+    adds the magnitude order, canonical signs and residuals.  Guards against
     accidental cubic blowups: refuses n above dense_limit (check_dense_limit).
     """
     a = np.asarray(a, dtype=np.float64)

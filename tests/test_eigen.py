@@ -3,17 +3,20 @@ sparse iterative route cross-checked against the dense one.
 
 The sparse route (Lanczos + projected small problems) reuses the dense
 solver only for its small projected matrices; the dense route (Householder
-tridiagonalization, QL eigenvalues, inverse iteration and a compact-WY
-back-transform) decomposes the whole operator, so agreement between them
-is evidence, not tautology.  Degenerate spectra are
-compared as subspaces because individual eigenvectors are arbitrary inside
-a repeated eigenvalue's eigenspace.
+tridiagonalization, divide and conquer on the tridiagonal matrix with QL +
+inverse-iteration leaves, and a compact-WY back-transform) decomposes the
+whole operator, so agreement between them is evidence, not tautology.
+Degenerate spectra are compared as subspaces because individual
+eigenvectors are arbitrary inside a repeated eigenvalue's eigenspace.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairspectral import eigen
 from fairspectral.eigen import (
@@ -135,7 +138,9 @@ class TestDenseRoute:
         with pytest.raises(ValueError):
             full_dense_eigendecomposition(np.ones((2, 3)))
 
-    def test_ql_budget_exhaustion_carries_q_and_the_unreduced_diagonal(self, monkeypatch):
+    # n = 30 is one QL leaf; at n = 100 the first of four leaves fails.
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_ql_budget_exhaustion_carries_q_and_the_unreduced_diagonal(self, monkeypatch, n):
         d = np.array([0.0, 2.0, 1.0, -1.0])
         e = np.array([0.0, 0.5, 0.25, 0.75])
         with pytest.raises(NoConvergenceError) as info:
@@ -150,18 +155,32 @@ class TestDenseRoute:
         # coordinates: Q is orthogonal, and Q^T a Q is tridiagonal with the
         # carried diagonal.
         rng = np.random.default_rng(13)
-        a = random_sparse_symmetric(rng, 30, density=0.5)
+        a = random_sparse_symmetric(rng, n, density=0.5)
         monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues",
                             functools.partial(_tridiagonal_eigenvalues, max_sweeps=0))
         with pytest.raises(NoConvergenceError) as info:
             dense_symmetric_eig(a)
         basis = info.value.basis
-        assert basis.eigenvalues.shape == (30,) and basis.eigenvectors.shape == (30, 30)
+        assert basis.eigenvalues.shape == (n,) and basis.eigenvectors.shape == (n, n)
         q = basis.eigenvectors
-        assert np.max(np.abs(q.T @ q - np.eye(30))) <= 1e-13
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
         t = q.T @ a @ q
         assert np.max(np.abs(np.triu(t, 2))) <= 1e-13
         np.testing.assert_allclose(np.diag(t), basis.eigenvalues, rtol=0, atol=1e-13)
+
+    def test_peak_memory_within_six_n_squared_doubles(self):
+        # tracemalloc peak on the 400-node SBM operator: 3.3 n^2 doubles with
+        # QL and inverse iteration on the whole tridiagonal, 3.5 n^2 with
+        # divide and conquer (the reflectors, both halves' eigenvectors, the
+        # merge's small matrix and its product).
+        a = normalize(generate_sbm(SbmConfig(n=400, seed=0)), "sym").to_dense()
+        tracemalloc.start()
+        try:
+            dense_symmetric_eig(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * a.nbytes
 
     def test_degenerate_case_sizes(self):
         w, v = dense_symmetric_eig(np.zeros((0, 0)))
@@ -192,10 +211,28 @@ class TestDenseHardSpectra:
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
         return w, v
 
-    def test_wilkinson_pairs(self):
-        w, _ = self.check(wilkinson_plus(10))
+    # W_21^+'s top pair is 1e-14 apart.  From W_65^+ on the pairs agree
+    # beyond an ulp, and they straddle the divide-and-conquer split at the
+    # middle row, so the merges deflate them by rotation (5 rotations at
+    # m = 32 and at m = 50).
+    @pytest.mark.parametrize("m", [10, 32, 50])
+    def test_wilkinson_pairs(self, m):
+        w, _ = self.check(wilkinson_plus(m))
         top = np.sort(w)[-2:]
-        assert 0.0 < top[1] - top[0] <= 1e-13
+        assert top[1] - top[0] <= 1e-13
+        if m == 10:
+            assert top[1] - top[0] > 0.0
+
+    # Copies of W_21^+ glued by tiny couplings: each eigenvalue comes once per
+    # copy, spread by about the glue, too far apart to deflate.  Vectors built
+    # from the merge's own z instead of Gu and Eisenstat's z-hat lose
+    # orthogonality here (1e-3 at 5 copies glued by 1e-10).
+    @pytest.mark.parametrize("copies, glue", [(5, 1e-10), (10, 1e-12)])
+    def test_glued_wilkinson(self, copies, glue):
+        a = np.kron(np.eye(copies), wilkinson_plus(10))
+        for i in range(21, 21 * copies, 21):
+            a[i - 1, i] = a[i, i - 1] = glue
+        self.check(a)
 
     @staticmethod
     def check_reduction(a):
@@ -226,10 +263,11 @@ class TestDenseHardSpectra:
 
     # The reduction runs panels of 32 steps while more than 32 rows remain
     # and single steps after that, so every case above with n <= 32 stays on
-    # single steps.  n = 33, 64, 65 and 100 cross the crossover and the panel
-    # edges; the n = 100 cases after them put skipped (zero-scale) steps
-    # inside panels.
-    @pytest.mark.parametrize("n", [33, 64, 65, 100])
+    # single steps; so does the tridiagonal solver, whose leaves have at most
+    # 32 rows.  n = 33, 64, 65 and 100 cross the crossover and the panel
+    # edges, and n = 257 merges three levels deep; the n = 100 cases after
+    # them put skipped (zero-scale) steps inside panels.
+    @pytest.mark.parametrize("n", [33, 64, 65, 100, 257])
     def test_sizes_across_the_panel_edges(self, n):
         a = random_sparse_symmetric(np.random.default_rng(n), n, density=0.5)
         self.check_reduction(a)
@@ -237,6 +275,37 @@ class TestDenseHardSpectra:
 
     def test_identical_blocks_split_the_tridiagonal_exactly_inside_panels(self):
         self.identical_blocks(20)
+
+    # A tridiagonal input keeps its couplings up to sign through the
+    # reduction: a zero stays a zero, and negative couplings mostly stay
+    # negative.  The divide-and-conquer solver splits at row n // 2, so
+    # these put a zero and a negative coupling at its first split.
+    @pytest.mark.parametrize("n, signs, cut", [
+        (100, "+", True), (257, "+", True), (100, "-", False), (150, "+-", False),
+    ], ids=["zero-at-the-split", "zero-at-the-split-n257", "negative", "mixed-signs"])
+    def test_tridiagonal_couplings(self, n, signs, cut):
+        rng = np.random.default_rng(n)
+        e = np.abs(rng.standard_normal(n - 1))
+        e *= {"+": 1.0, "-": -1.0, "+-": rng.choice([-1.0, 1.0], n - 1)}[signs]
+        if cut:
+            e[n // 2 - 1] = 0.0
+        a = np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
+        reduced = self.check_reduction(a)
+        if cut:
+            assert reduced[n // 2] == 0.0
+        if signs == "-":
+            assert reduced[n // 2] < 0.0
+        self.check(a)
+
+    # Couplings and diagonal entries drawn from a few values, so that
+    # repeated and clustered eigenvalues abound on every merge level.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(33, 160).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=n - 1, max_size=n - 1))))
+    def test_tridiagonals_with_ties(self, entries):
+        d, e = entries
+        self.check(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
     @pytest.mark.parametrize("a", [
         np.diag(np.resize([3.0, -1.0, 3.0, 0.0, 2.0, -1.0], 100)),
