@@ -247,6 +247,8 @@ def _cmd_eig(s: dict) -> int:
         "eigenvalues": [float(v) for v in basis.eigenvalues],
         "max_residual": (None if basis.residuals is None
                          else float(np.max(basis.residuals))),
+        "matvecs": basis.matvecs,
+        "restarts": basis.restarts,
     }
     _write(_sidecar_path(out), json.dumps(sidecar, indent=2) + "\n")
     print(f"{method}: {basis.k} pairs of n={basis.n} in {elapsed:.3f}s -> {out}")

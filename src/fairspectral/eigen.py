@@ -43,6 +43,10 @@ _FSB_MAGIC = b"FSB1"
 # leaf of the divide and conquer in _tridiagonal_eig.
 _BLOCK = 32
 
+# The share of its input norm below which one Gram-Schmidt pass in
+# _orthogonalize is followed by a second.
+_DGKS = 1.0 / math.sqrt(2.0)
+
 
 class EigenError(Exception):
     """Base class for eigensolver failures."""
@@ -71,12 +75,16 @@ class SpectralBasis:
     eigenvalues: shape (K,), sorted by decreasing magnitude, exact-magnitude
     ties positive-first.  eigenvectors: shape (n, K), orthonormal columns in
     canonical sign.  residuals: shape (K,), the two-norms ||S p - lambda p||,
-    or None for bases loaded from disk without their operator.
+    or None for bases loaded from disk without their operator.  matvecs and
+    restarts: how hard top_k_eigenpairs worked for the basis (operator
+    applications, thick restarts), or None for bases from elsewhere.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray | None = None
+    matvecs: int | None = None
+    restarts: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", np.ascontiguousarray(self.eigenvalues, dtype=np.float64))
@@ -522,22 +530,32 @@ def full_dense_eigendecomposition(
     w, v = dense_symmetric_eig(a)
     order = magnitude_order(w)
     w = w[order]
-    v = canonical_sign(v[:, order])
+    # np.take keeps v in C order; v[:, order] would return it in F order,
+    # and SpectralBasis would copy all n^2 values once more.  Rebinding v
+    # first frees the unordered copy before canonical_sign's temporaries.
+    v = np.take(v, order, axis=1)
+    v = canonical_sign(v)
     resid = np.linalg.norm(a @ v - v * w, axis=0)
     return SpectralBasis(w, v, resid)
 
 
-def _orthogonalize_twice(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Remove the components of w along the rows of basis, twice.
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Remove the components of w along the rows of basis; return the
+    result and its two-norm.
 
     basis holds orthonormal vectors as contiguous rows, so both products
     stream it row by row.  One pass of classical Gram-Schmidt loses
-    orthogonality when w is nearly inside span(basis); the second pass
-    restores it to machine precision.
+    orthogonality only when w is nearly inside span(basis), which shows as
+    cancellation: a second pass runs when the first leaves less than 1/sqrt(2)
+    of w's norm (Daniel, Gragg, Kaufman & Stewart, 1976), and twice is enough.
     """
-    for _ in range(2):
-        w = w - (basis @ w) @ basis
-    return w
+    norm = float(np.linalg.norm(w))
+    out = w - (basis @ w) @ basis
+    out_norm = float(np.linalg.norm(out))
+    if out_norm < norm * _DGKS:
+        out = out - (basis @ out) @ basis
+        out_norm = float(np.linalg.norm(out))
+    return out, out_norm
 
 
 def top_k_eigenpairs(
@@ -558,13 +576,22 @@ def top_k_eigenpairs(
     residual direction.  A Ritz pair counts as converged once its residual
     estimate drops below tol times max(|theta|, spectral scale floor).
 
+    The window is m = max(2k + 10, _BLOCK) vectors (at most n).  _BLOCK is
+    the dense solver's leaf size, so for k <= 11 every projected problem is
+    one QL + inverse-iteration leaf; a wider window takes fewer restarts but
+    pays for the divide-and-conquer merges on every cycle.
+
     The Krylov basis is stored by rows, shape (m+1, n), so every basis
     vector that feeds the operator, the Gram-Schmidt passes and the
-    restart is a contiguous row.
+    restart is a contiguous row.  Each new vector is orthogonalized against
+    the whole basis by one classical Gram-Schmidt pass, and by a second
+    only when the first cancels more than the DGKS bound allows
+    (_orthogonalize); a step then costs little more than its matvec.
 
     max_iter bounds the total number of operator applications; exhausting it
     raises NoConvergenceError carrying the best basis and its residuals.
-    Deterministic for fixed (op, k, tol, seed).
+    The basis records the operator applications and thick restarts taken
+    (matvecs, restarts).  Deterministic for fixed (op, k, tol, seed).
     """
     if not isinstance(op, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(op)!r}")
@@ -575,7 +602,7 @@ def top_k_eigenpairs(
         raise ValueError(f"tol must be positive, got {tol}")
     rng = np.random.default_rng(seed)
 
-    m = min(n, max(2 * k + 10, 20))
+    m = min(n, max(2 * k + 10, _BLOCK))
     v = np.zeros((m + 1, n))
     t = np.zeros((m + 1, m + 1))
 
@@ -586,6 +613,7 @@ def top_k_eigenpairs(
     locked = 0          # Ritz vectors kept across the last restart
     j = 0               # current basis size
     matvecs = 0
+    restarts = 0
     scale_floor = 0.0   # running estimate of the spectral scale
 
     def small_eig(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -598,14 +626,13 @@ def top_k_eigenpairs(
         x = s[:, :take].T @ v[:size]
         # Gram-Schmidt cleanup; rows are near-orthonormal already.
         for c in range(take):
-            x[c] = _orthogonalize_twice(x[c], x[:c])
-            nrm = np.linalg.norm(x[c])
+            x[c], nrm = _orthogonalize(x[c], x[:c])
             if nrm > 0:
                 x[c] /= nrm
         x = canonical_sign(x.T)
         lam = theta[:take].copy()
         resid = np.linalg.norm(op.matmat(x) - x * lam, axis=0)
-        return SpectralBasis(lam, x, resid)
+        return SpectralBasis(lam, x, resid, matvecs=matvecs, restarts=restarts)
 
     while True:
         # Extend the basis from j to m vectors.
@@ -620,8 +647,7 @@ def top_k_eigenpairs(
             alpha = float(v[j] @ u)
             t[j, j] = alpha
             u -= alpha * v[j]
-            u = _orthogonalize_twice(u, v[: j + 1])
-            beta = float(np.linalg.norm(u))
+            u, beta = _orthogonalize(u, v[: j + 1])
             tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
             if beta <= tiny:
                 # Invariant subspace hit; continue in a fresh random direction
@@ -629,8 +655,7 @@ def top_k_eigenpairs(
                 t[j, j + 1] = 0.0
                 t[j + 1, j] = 0.0
                 fresh = rng.standard_normal(n)
-                fresh = _orthogonalize_twice(fresh, v[: j + 1])
-                nrm = np.linalg.norm(fresh)
+                fresh, nrm = _orthogonalize(fresh, v[: j + 1])
                 j += 1
                 if nrm <= np.sqrt(np.finfo(np.float64).eps):
                     # The basis already spans the whole space.
@@ -674,6 +699,7 @@ def top_k_eigenpairs(
         t[:keep, keep] = coup
         locked = keep
         j = keep
+        restarts += 1
 
 
 def save_basis(basis: SpectralBasis, path) -> None:

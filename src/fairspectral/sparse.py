@@ -7,7 +7,7 @@ instances, and construction helpers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +20,18 @@ class CsrMatrix:
     indices are strictly increasing inside each row (checked here: matvec
     would sum a duplicate that to_dense overwrites).  Symmetry is a contract
     of the callers (both halves are stored explicitly).
+
+    The products' row segments are planned here, once per matrix: the
+    reduceat starts of the non-empty rows, and their mask, which is None
+    when no row is empty.
     """
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _nonempty: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_ptr", np.ascontiguousarray(self.row_ptr, dtype=np.int64))
@@ -35,7 +41,8 @@ class CsrMatrix:
             raise ValueError("row_ptr must have length n + 1")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.col_idx.shape[0]:
             raise ValueError("row_ptr endpoints inconsistent with col_idx")
-        if np.any(np.diff(self.row_ptr) < 0):
+        counts = np.diff(self.row_ptr)
+        if np.any(counts < 0):
             raise ValueError("row_ptr must be non-decreasing")
         if self.col_idx.shape != self.values.shape:
             raise ValueError("col_idx and values must have equal length")
@@ -43,7 +50,10 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         if np.any((np.diff(self.row_indices()) == 0) & (np.diff(self.col_idx) <= 0)):
             raise ValueError("column indices must be strictly increasing inside each row")
-        for arr in (self.row_ptr, self.col_idx, self.values):
+        nonempty = counts > 0
+        object.__setattr__(self, "_starts", self.row_ptr[:-1][nonempty])
+        object.__setattr__(self, "_nonempty", None if nonempty.all() else nonempty)
+        for arr in (self.row_ptr, self.col_idx, self.values, self._starts, nonempty):
             arr.flags.writeable = False
 
     @property
@@ -83,14 +93,14 @@ class CsrMatrix:
 
 def _product(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """A @ x for a checked length-n vector: gather, scale, segment-sum into
-    rows.  reduceat cannot represent empty segments, so empty rows are
-    masked out and left at zero."""
-    prod = a.values * x[a.col_idx]
+    rows.  reduceat cannot represent empty segments, so it sums only the
+    non-empty rows; when some row is empty, their sums are scattered into
+    zeros."""
+    sums = np.add.reduceat(a.values * x[a.col_idx], a._starts)
+    if a._nonempty is None:
+        return sums
     out = np.zeros(a.n)
-    starts = a.row_ptr[:-1]
-    nonempty = starts < a.row_ptr[1:]
-    if np.any(nonempty):
-        out[nonempty] = np.add.reduceat(prod, starts[nonempty])
+    out[a._nonempty] = sums
     return out
 
 

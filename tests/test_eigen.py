@@ -23,6 +23,7 @@ from fairspectral.eigen import (
     DenseLimitError,
     NoConvergenceError,
     SpectralBasis,
+    _orthogonalize,
     _tridiagonal_eigenvalues,
     canonical_sign,
     dense_symmetric_eig,
@@ -33,7 +34,7 @@ from fairspectral.eigen import (
     top_k_eigenpairs,
 )
 from fairspectral.graph import Graph, SbmConfig, generate_sbm, normalize
-from fairspectral.sparse import csr_from_dense, csr_from_edges
+from fairspectral.sparse import CsrMatrix, csr_from_dense, csr_from_edges
 
 
 def random_sparse_symmetric(rng, n, density=0.08):
@@ -133,6 +134,21 @@ class TestDenseRoute:
     def test_size_guard(self):
         with pytest.raises(DenseLimitError):
             full_dense_eigendecomposition(np.eye(21), dense_limit=20)
+
+    def test_eigenvectors_are_c_ordered_without_a_copy(self, monkeypatch):
+        # The signed, ordered eigenvectors reach SpectralBasis in C order,
+        # so its ascontiguousarray keeps them instead of copying n^2 values.
+        signed = []
+
+        def recording(p):
+            signed.append(canonical_sign(p))
+            return signed[-1]
+
+        monkeypatch.setattr(eigen, "canonical_sign", recording)
+        rng = np.random.default_rng(14)
+        basis = full_dense_eigendecomposition(random_sparse_symmetric(rng, 70, density=0.2))
+        assert basis.eigenvectors.flags.c_contiguous
+        assert basis.eigenvectors is signed[0]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -411,11 +427,53 @@ class TestSparseAgainstDense:
         with pytest.raises(ValueError):
             top_k_eigenpairs(m, 2, tol=0.0)
 
+    def test_work_counts_on_the_default_graph(self, monkeypatch):
+        # The default 2000-node SBM at seed 0, as `gen` and `eig` run it.
+        # Pinned so that a change to the solver shows what it costs.
+        calls = []
+        matvec = CsrMatrix.matvec
+
+        def counting(self, x):
+            calls.append(x)
+            return matvec(self, x)
+
+        monkeypatch.setattr(CsrMatrix, "matvec", counting)
+        op = normalize(generate_sbm(SbmConfig(seed=0)), "sym")
+        basis = top_k_eigenpairs(op, 8, seed=0)
+        assert (basis.matvecs, basis.restarts) == (256, 14)
+        assert len(calls) == basis.matvecs
+
     def test_rejects_anything_but_a_csr_matrix(self):
         rng = np.random.default_rng(26)
         a = random_sparse_symmetric(rng, 30, density=0.3)
         with pytest.raises(TypeError):
             top_k_eigenpairs(a, 2)
+
+
+class TestOrthogonalize:
+    @staticmethod
+    def basis_rows(rng, n, j):
+        q, _ = np.linalg.qr(rng.standard_normal((n, j)))
+        return np.ascontiguousarray(q.T)
+
+    def test_generic_vector_takes_one_pass(self):
+        rng = np.random.default_rng(30)
+        b = self.basis_rows(rng, 500, 20)
+        w = rng.standard_normal(500)
+        out, norm = _orthogonalize(w, b)
+        assert out.tobytes() == (w - (b @ w) @ b).tobytes()
+        assert norm == np.linalg.norm(out)
+
+    def test_vector_nearly_inside_the_span_takes_a_second_pass(self):
+        rng = np.random.default_rng(31)
+        b = self.basis_rows(rng, 500, 20)
+        w = rng.standard_normal(20) @ b + 1e-9 * rng.standard_normal(500)
+        one = w - (b @ w) @ b
+        # One pass cancels nearly all of w and leaves rounding along the span.
+        assert np.max(np.abs(b @ one)) > 1e-14 * np.linalg.norm(one)
+        out, norm = _orthogonalize(w, b)
+        assert np.max(np.abs(b @ out)) <= 1e-14 * np.linalg.norm(out)
+        assert norm == np.linalg.norm(out)
 
 
 class TestHardSpectra:

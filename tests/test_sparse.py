@@ -112,6 +112,48 @@ class TestProductsAgainstDense:
         m = csr_from_dense(a)
         np.testing.assert_array_equal(m.matvec([1.0, 1.0, 1.0]), [2.0, 0.0, 2.0])
 
+    @staticmethod
+    def product_case(name):
+        rng = np.random.default_rng(7)
+        if name == "isolated-weighted":
+            # Criterion 10's kind of graph, small: random weighted edges,
+            # both directions stored, no self-loops; 35 of 300 nodes stay
+            # isolated.
+            n = 300
+            u, v = rng.integers(0, n, n), rng.integers(0, n, n)
+            keep = u != v
+            u, v = u[keep], v[keep]
+            w = rng.standard_normal(u.shape[0])
+            return csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]),
+                                  np.concatenate([w, w]))
+        if name == "all-empty":
+            return csr_from_dense(np.zeros((6, 6)))
+        a = random_masked_symmetric(rng, 40, density=0.15)
+        if name == "no-empty-rows":  # as every "sym" operator, through A + I
+            a += np.eye(40)
+        else:
+            row = {"empty-first-row": 0, "empty-last-row": 39}[name]
+            a[row] = 0.0
+            a[:, row] = 0.0
+        return csr_from_dense(a)
+
+    @pytest.mark.parametrize("name, empty_rows", [
+        ("empty-first-row", True), ("empty-last-row", True), ("all-empty", True),
+        ("no-empty-rows", False), ("isolated-weighted", True),
+    ])
+    def test_products_with_and_without_empty_rows(self, name, empty_rows):
+        # A product that sums every row's segment with reduceat, empty ones
+        # included, is wrong on each case with an empty row.
+        m = self.product_case(name)
+        assert bool(np.any(np.diff(m.row_ptr) == 0)) == empty_rows
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((m.n, 5))
+        dense = m.to_dense()
+        for c in range(5):
+            np.testing.assert_allclose(m.matvec(x[:, c]), dense @ x[:, c], rtol=0, atol=1e-12)
+        columns = np.column_stack([m.matvec(x[:, c]) for c in range(5)])
+        assert m.matmat(x).tobytes() == columns.tobytes()
+
     def test_matvec_rejects_wrong_length(self):
         m = csr_from_dense(np.eye(3))
         with pytest.raises(ValueError):
