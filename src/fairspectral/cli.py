@@ -133,20 +133,14 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _load_graph_dir(path: str, with_splits: bool) -> Graph:
+def _load_graph_dir(path: str) -> Graph:
     root = Path(path)
     edges = root / _EDGE_FILE
     nodes = root / _NODE_FILE
     for p in (edges, nodes):
         if not p.is_file():
             raise CliError(f"missing graph file: {p}")
-    g = load_graph(edges, nodes, sensitive_column="sensitive", label_column="label")
-    if with_splits:
-        split_path = root / _SPLIT_FILE
-        if not split_path.is_file():
-            raise CliError(f"missing split file: {split_path}")
-        g = g.with_splits(SplitMasks.from_json(split_path.read_text(), g.n))
-    return g
+    return load_graph(edges, nodes, sensitive_column="sensitive", label_column="label")
 
 
 def _basis_path(s: dict, key: str) -> Path:
@@ -214,7 +208,7 @@ def _cmd_gen(s: dict) -> int:
 
 
 def _cmd_eig(s: dict) -> int:
-    g = _load_graph_dir(s["graph"], with_splits=False)
+    g = _load_graph_dir(s["graph"])
     if not 1 <= s["k"] <= g.n:
         raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
     op = normalize(g, s["mode"])
@@ -284,11 +278,11 @@ def _cmd_analyze(s: dict) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERIFICATION
 
 
-def _fit(g: Graph, s: dict,
+def _fit(g: Graph, splits: SplitMasks, s: dict,
          basis: SpectralBasis | None) -> tuple[TrainHistory, FairnessReport]:
-    """Train the model that the train settings s describe on g, which
-    carries its splits, and for the spectral model on basis; returns the
-    history and the test-split report."""
+    """Train the model that the train settings s describe on g's splits,
+    and for the spectral model on basis; returns the history and the
+    test-split report."""
     if s["model"] not in ("spectral", "propagation"):
         raise CliError(f"model must be spectral or propagation, got {s['model']!r}")
     rng = np.random.default_rng(s["seed"])
@@ -304,22 +298,26 @@ def _fit(g: Graph, s: dict,
                                         s["steps"], s["theta"])
         forward = lambda p: forward_propagation(p, propagated)
     history = train(
-        params, forward, g.labels, g.sensitive, g.train_mask, g.val_mask,
+        params, forward, g.labels, g.sensitive, splits.train, splits.val,
         TrainConfig(max_epochs=s["epochs"], lr=s["lr"],
                     weight_decay=s["weight_decay"], patience=s["patience"]),
     )
-    return history, evaluate(forward(params).value, g.labels, g.sensitive, g.test_mask)
+    return history, evaluate(forward(params).value, g.labels, g.sensitive, splits.test)
 
 
 def _cmd_train(s: dict) -> int:
-    g = _load_graph_dir(s["graph"], with_splits=True)
+    g = _load_graph_dir(s["graph"])
+    split_path = Path(s["graph"]) / _SPLIT_FILE
+    if not split_path.is_file():
+        raise CliError(f"missing split file: {split_path}")
+    splits = SplitMasks.from_json(split_path.read_text(), g.n)
     path = _basis_path(s, "basis")
     s = {**s, "basis": str(path)}
     basis, content = None, b""
     if s["model"] == "spectral":
         basis, content = _read_basis(path, g, s["mode"])
     t0 = time.perf_counter()
-    history, report = _fit(g, s, basis)
+    history, report = _fit(g, splits, s, basis)
     elapsed = time.perf_counter() - t0
 
     run_dir = Path(s["out"]) / f"run-{run_digest('train', s, content)}"
@@ -351,15 +349,15 @@ def _cmd_bench(s: dict) -> int:
     runs = []
     for seed in seeds:
         g = generate_sbm(SbmConfig(n=s["n"], seed=seed))
-        g = g.with_splits(make_splits(g, seed=seed))
         train_settings = resolve_settings("train", {"seed": seed, "epochs": s["epochs"]})
-        runs.append((g, normalize(g, train_settings["mode"]), train_settings))
+        runs.append((g, make_splits(g, seed=seed), normalize(g, train_settings["mode"]),
+                     train_settings))
     results = []
     for k in k_values:
         accs, sps = [], []
-        for g, op, train_settings in runs:
+        for g, splits, op, train_settings in runs:
             basis = top_k_eigenpairs(op, k, seed=train_settings["seed"])
-            _, rep = _fit(g, train_settings, basis)
+            _, rep = _fit(g, splits, train_settings, basis)
             accs.append(rep.accuracy)
             sps.append(rep.delta_sp)
         results.append({

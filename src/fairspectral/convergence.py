@@ -31,13 +31,13 @@ prediction travel disjoint code paths.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .eigen import full_dense_eigendecomposition
+from .metrics import report_json
 
 CLAIM_NAMES = {
     1: "principal-limit",
@@ -72,33 +72,7 @@ class ClaimReport:
         return CLAIM_NAMES[self.claim_id]
 
     def to_json(self) -> str:
-        doc = {
-            "claim_id": self.claim_id,
-            "claim": self.claim,
-            "measured": [[int(l), float(v)] for l, v in self.measured],
-            "predicted": float(self.predicted),
-            "gap": float(self.gap),
-            "parameters": _jsonable(self.parameters),
-            "verdict": bool(self.verdict),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        v = float(obj)
-        return None if math.isnan(v) else v
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
+        return report_json({**asdict(self), "claim": self.claim}, sort_keys=True)
 
 
 def _renormalized_iterates(s, h: np.ndarray, ls):

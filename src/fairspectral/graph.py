@@ -1,17 +1,18 @@
 """Graph container, ingestion, normalization, splits, and synthetic data.
 
 A graph couples an undirected simple adjacency structure (CSR, both
-directions stored) with node features, a binary sensitive attribute, binary
-labels, and three disjoint node masks.  The sensitive attribute is also kept
-as a feature column: models consume it like any other channel, and the
-fairness metrics read it separately.
+directions stored) with node features, a binary sensitive attribute and
+binary labels.  The sensitive attribute is also kept as a feature column:
+models consume it like any other channel, and the fairness metrics read it
+separately.  The train/validation/test split belongs to an experiment, not
+to the graph, and travels beside it as SplitMasks.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +35,12 @@ class Graph:
     features: np.ndarray
     sensitive: np.ndarray
     labels: np.ndarray
-    train_mask: np.ndarray = field(default=None)
-    val_mask: np.ndarray = field(default=None)
-    test_mask: np.ndarray = field(default=None)
 
     def __post_init__(self) -> None:
         n = self.adjacency.n
         object.__setattr__(self, "features", np.ascontiguousarray(self.features, dtype=np.float64))
         object.__setattr__(self, "sensitive", np.ascontiguousarray(self.sensitive, dtype=np.int64))
         object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.int64))
-        for name in ("train_mask", "val_mask", "test_mask"):
-            m = getattr(self, name)
-            if m is None:
-                m = np.zeros(n, dtype=bool)
-            object.__setattr__(self, name, np.ascontiguousarray(m, dtype=bool))
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(f"features must be (n, d) with n={n}, got {self.features.shape}")
         if self.sensitive.shape != (n,) or self.labels.shape != (n,):
@@ -56,22 +49,12 @@ class Graph:
             raise ValueError("sensitive attribute must be binary")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be binary")
-        for name in ("train_mask", "val_mask", "test_mask"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must be a length-n boolean mask")
-        overlap = (
-            (self.train_mask & self.val_mask)
-            | (self.train_mask & self.test_mask)
-            | (self.val_mask & self.test_mask)
-        )
-        if overlap.any():
-            raise ValueError("train/val/test masks must be disjoint")
         a = self.adjacency
         if np.any(a.values[a.row_indices() == a.col_idx] != 0.0):
             raise ValueError("adjacency must not contain self loops")
         if not is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
-        for arr in (self.features, self.sensitive, self.labels, self.train_mask, self.val_mask, self.test_mask):
+        for arr in (self.features, self.sensitive, self.labels):
             arr.flags.writeable = False
 
     @property
@@ -83,15 +66,25 @@ class Graph:
         """Stored directed entries; an undirected edge counts twice."""
         return self.adjacency.nnz
 
-    def with_splits(self, splits: "SplitMasks") -> "Graph":
-        return replace(self, train_mask=splits.train, val_mask=splits.val, test_mask=splits.test)
-
 
 @dataclass(frozen=True)
 class SplitMasks:
+    """Disjoint train/validation/test node masks of one length, frozen."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("train", "val", "test"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=bool))
+        tr, va, te = self.train, self.val, self.test
+        if tr.ndim != 1 or not tr.shape == va.shape == te.shape:
+            raise ValueError("train/val/test masks must be boolean vectors of one length")
+        if ((tr & va) | (tr & te) | (va & te)).any():
+            raise ValueError("train/val/test masks must be disjoint")
+        for m in (tr, va, te):
+            m.flags.writeable = False
 
     def to_json(self) -> str:
         doc = {
@@ -108,7 +101,8 @@ class SplitMasks:
 
         The file is a JSON object whose "n" equals the graph's node count
         and whose "train", "val" and "test" lists hold integer node ids in
-        [0, n).  Anything else raises GraphFormatError.
+        [0, n).  Anything else raises GraphFormatError; lists that share
+        a node fail SplitMasks's own disjointness check.
         """
         try:
             doc = json.loads(text)

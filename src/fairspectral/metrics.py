@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,23 @@ __all__ = [
     "delta_eo",
     "FairnessReport",
     "evaluate",
+    "report_json",
 ]
+
+
+def _plain(x):
+    """x with tuples as lists and every NaN float (np.float64 included) as None."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
+def report_json(doc: dict, sort_keys: bool) -> str:
+    """doc as indented JSON in which every NaN float, an undefined value,
+    is null: the bare NaN token json.dumps would write is not JSON."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=sort_keys)
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
@@ -97,17 +113,7 @@ class FairnessReport:
     group_counts: dict[str, int]
 
     def to_json(self) -> str:
-        def clean(x: float) -> float | None:
-            return None if isinstance(x, float) and math.isnan(x) else x
-
-        payload = {
-            "accuracy": clean(self.accuracy),
-            "delta_sp": clean(self.delta_sp),
-            "delta_eo": clean(self.delta_eo),
-            "n_evaluated": self.n_evaluated,
-            "group_counts": self.group_counts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return report_json(asdict(self), sort_keys=True)
 
 
 def evaluate(

@@ -16,15 +16,14 @@ It is slow by construction and intended for tests and verification runs.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tensor, cross_entropy_masked
-from .metrics import accuracy, delta_eo, delta_sp, predict
+from .metrics import accuracy, delta_eo, delta_sp, predict, report_json
 from .model import ModelParams
 
 __all__ = [
@@ -82,22 +81,7 @@ class TrainHistory:
         return len(self.train_loss)
 
     def to_json(self) -> str:
-        def clean(xs: list[float]) -> list[float | None]:
-            return [None if math.isnan(x) else x for x in xs]
-
-        return json.dumps(
-            {
-                "train_loss": clean(self.train_loss),
-                "val_accuracy": clean(self.val_accuracy),
-                "val_delta_sp": clean(self.val_delta_sp),
-                "val_delta_eo": clean(self.val_delta_eo),
-                "best_epoch": self.best_epoch,
-                "best_val_accuracy": self.best_val_accuracy,
-                "snapshot_id": self.snapshot_id,
-                "epochs_run": self.epochs_run,
-            },
-            indent=2,
-        )
+        return report_json({**asdict(self), "epochs_run": self.epochs_run}, sort_keys=False)
 
 
 def params_digest(params: ModelParams) -> str:

@@ -230,11 +230,11 @@ def test_criterion_08_fairness_utility_tradeoff():
     rows = []
     for seed in range(5):
         g = generate_sbm(SbmConfig(seed=seed))
-        g = g.with_splits(make_splits(g, seed))
+        splits = make_splits(g, seed)
         op = normalize(g, "sym")
         basis = top_k_eigenpairs(op, 8, seed=seed)
         x, y, s = g.features, g.labels, g.sensitive
-        tr, va, te = g.train_mask, g.val_mask, g.test_mask
+        tr, va, te = splits.train, splits.val, splits.test
 
         rng = np.random.default_rng(1000 + seed)
         ps = init_spectral_params(rng, x.shape[1], 16, 2, 2, 8)
@@ -280,11 +280,11 @@ def test_criterion_09_parity_gap_grows_with_basis_size():
     small_gaps, large_gaps = [], []
     for seed in (0, 1, 2):
         g = generate_sbm(SbmConfig(seed=seed))
-        g = g.with_splits(make_splits(g, seed))
+        splits = make_splits(g, seed)
         op = normalize(g, "sym")
         full = full_dense_eigendecomposition(op.to_dense(), dense_limit=2048)
         x, y, s = g.features, g.labels, g.sensitive
-        tr, va, te = g.train_mask, g.val_mask, g.test_mask
+        tr, va, te = splits.train, splits.val, splits.test
         for k in small_ks + large_ks:
             basis = SpectralBasis(full.eigenvalues[:k],
                                   full.eigenvectors[:, :k],
@@ -340,7 +340,7 @@ def test_criterion_10_truncated_route_scales_past_dense():
 def test_criterion_11_artifacts_are_bit_identical(tmp_path):
     def produce(tag):
         g = generate_sbm(SbmConfig(n=120, p_in=0.2, p_out=0.05, seed=7))
-        g = g.with_splits(make_splits(g, 7))
+        splits = make_splits(g, 7)
         op = normalize(g, "sym")
         basis = top_k_eigenpairs(op, 5, seed=7)
         path = tmp_path / f"{tag}.bin"
@@ -350,10 +350,10 @@ def test_criterion_11_artifacts_are_bit_identical(tmp_path):
             np.random.default_rng(7), g.features.shape[1], 8, 2, 1, 4)
         history = train(
             params, lambda p: forward_spectral(p, basis, g.features),
-            g.labels, g.sensitive, g.train_mask, g.val_mask,
+            g.labels, g.sensitive, splits.train, splits.val,
             TrainConfig(max_epochs=40, patience=40))
         report = evaluate(forward_spectral(params, basis, g.features).value,
-                          g.labels, g.sensitive, g.test_mask)
+                          g.labels, g.sensitive, splits.test)
         return path.read_bytes(), history.to_json(), report.to_json()
 
     first = produce("a")

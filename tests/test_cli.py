@@ -449,6 +449,16 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: split file")
         assert not out.exists()
 
+    def test_overlapping_splits_is_usage_error(self, tmp_path, capsys):
+        data = gen_graph(tmp_path)
+        split_path = data / "splits.json"
+        doc = json.loads(split_path.read_text())
+        split_path.write_text(json.dumps({**doc, "train": doc["train"] + doc["test"][:1]}))
+        code, out = self.run_train(tmp_path, data)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: train/val/test masks must be disjoint")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numerical_failure(self, tmp_path, capsys):
         data = gen_graph(tmp_path)

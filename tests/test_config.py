@@ -1,5 +1,7 @@
 """Settings resolution: precedence, validation, run identity."""
 
+import inspect
+
 import pytest
 
 from fairspectral.config import (
@@ -10,7 +12,9 @@ from fairspectral.config import (
     resolve_settings,
     run_digest,
 )
+from fairspectral.eigen import DENSE_LIMIT_DEFAULT, full_dense_eigendecomposition, top_k_eigenpairs
 from fairspectral.graph import SbmConfig
+from fairspectral.model import init_spectral_params, propagate_features
 from fairspectral.train import TrainConfig
 
 
@@ -56,6 +60,23 @@ class TestSchema:
                 by_name["label_bias"], by_name["dims"], by_name["noise_sd"], by_name["seed"]) == (
             cfg.n, cfg.p_in, cfg.p_out, cfg.sensitive_homophily,
             cfg.label_bias, cfg.d, cfg.noise_sd, cfg.seed)
+
+
+    def test_eig_defaults_match_solvers(self):
+        by_name = {o.name: o.default for o in COMMAND_OPTIONS["eig"]}
+        lanczos = inspect.signature(top_k_eigenpairs).parameters
+        dense = inspect.signature(full_dense_eigendecomposition).parameters
+        assert by_name["tol"] == lanczos["tol"].default == 1e-10
+        assert by_name["seed"] == lanczos["seed"].default == 0
+        assert by_name["dense_limit"] == dense["dense_limit"].default == DENSE_LIMIT_DEFAULT == 2000
+
+    def test_train_defaults_match_models(self):
+        by_name = {o.name: o.default for o in COMMAND_OPTIONS["train"]}
+        spectral = inspect.signature(init_spectral_params).parameters
+        propagation = inspect.signature(propagate_features).parameters
+        assert by_name["heads"] == spectral["n_heads"].default == 2
+        assert by_name["steps"] == propagation["n_steps"].default == 10
+        assert by_name["theta"] == propagation["theta"].default == 0.1
 
 
 class TestConfigFile:

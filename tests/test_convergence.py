@@ -231,3 +231,14 @@ class TestReportSerialization:
             parameters={"stray": float("nan")}, verdict=True)
         doc = json.loads(report.to_json())
         assert doc["parameters"]["stray"] is None
+
+    def test_nan_measured_and_gap_serialized_as_null(self):
+        # A vanishing iterate ends a similarity trace with NaN.
+        report = ClaimReport(
+            claim_id=1, measured=[(0, 1.0), (3, float("nan"))], predicted=0.5,
+            gap=float("nan"), verdict=False)
+        text = report.to_json()
+        assert "NaN" not in text
+        doc = json.loads(text)
+        assert doc["measured"] == [[0, 1.0], [3, None]]
+        assert doc["gap"] is None

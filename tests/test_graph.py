@@ -87,23 +87,28 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(empty_adjacency(2), np.zeros((2, 1)), [0, 1], [0, 3])
 
-    def test_overlapping_masks_rejected(self):
-        m = np.array([True, False])
-        with pytest.raises(ValueError):
-            Graph(empty_adjacency(2), np.zeros((2, 1)), [0, 1], [0, 1],
-                  train_mask=m, val_mask=m)
-
     def test_arrays_frozen_after_construction(self):
         g = tiny_graph()
         with pytest.raises(ValueError):
             g.labels[0] = 1
 
-    def test_with_splits_returns_new_graph(self):
-        g = tiny_graph(8)
-        splits = make_splits(g, seed=0)
-        g2 = g.with_splits(splits)
-        assert not g.train_mask.any()
-        assert g2.train_mask.sum() == splits.train.sum()
+
+class TestSplitMasks:
+    def test_overlapping_masks_rejected(self):
+        m = np.array([True, False])
+        with pytest.raises(ValueError, match="disjoint"):
+            SplitMasks(m, m, np.zeros(2, dtype=bool))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            SplitMasks(np.zeros(3, dtype=bool), np.zeros(2, dtype=bool), np.zeros(3, dtype=bool))
+
+    def test_masks_frozen_after_construction(self):
+        s = make_splits(tiny_graph(8), seed=0)
+        for m in (s.train, s.val, s.test):
+            assert m.dtype == bool
+            with pytest.raises(ValueError):
+                m[0] = True
 
 
 class TestLoadGraph:

@@ -30,12 +30,11 @@ from fairspectral import autodiff as ad
 
 
 def small_instance(seed=0, n=40):
-    """Dense-ish block graph with operator, basis, and balanced splits."""
+    """Dense-ish block graph with its balanced splits, operator and basis."""
     g = generate_sbm(SbmConfig(n=n, p_in=0.3, p_out=0.05, seed=seed))
-    g = g.with_splits(make_splits(g, seed))
     op = normalize(g, "sym")
     basis = top_k_eigenpairs(op, 6, seed=seed)
-    return g, op, basis
+    return g, make_splits(g, seed), op, basis
 
 
 class TestConfig:
@@ -97,7 +96,7 @@ class TestParamsDigest:
 
 class TestGradientAgreement:
     def test_spectral_model_matches_finite_differences(self):
-        g, op, basis = small_instance(seed=4, n=16)
+        g, _, op, basis = small_instance(seed=4, n=16)
         params = init_spectral_params(np.random.default_rng(4), g.features.shape[1], 6, 2, 1, 4)
         mask = np.ones(16, dtype=bool)
 
@@ -133,43 +132,43 @@ class TestGradientAgreement:
 
 class TestTrainingRun:
     def fit(self, seed=6, **cfg_kwargs):
-        g, op, basis = small_instance(seed=seed)
+        g, splits, op, basis = small_instance(seed=seed)
         params = init_spectral_params(np.random.default_rng(seed),
                                       g.features.shape[1], 16, 2, 2, 8)
         config = TrainConfig(**{"max_epochs": 300, "patience": 300, **cfg_kwargs})
         history = train(
             params,
             lambda p: forward_spectral(p, basis, g.features),
-            g.labels, g.sensitive, g.train_mask, g.val_mask, config)
-        return g, basis, params, history
+            g.labels, g.sensitive, splits.train, splits.val, config)
+        return g, splits, basis, params, history
 
     def test_loss_decreases_and_fits_training_set(self):
         from fairspectral.metrics import accuracy, predict
 
-        g, basis, params, history = self.fit()
+        g, splits, basis, params, history = self.fit()
         assert history.train_loss[history.best_epoch] < history.train_loss[0]
         logits = forward_spectral(params, basis, g.features).value
-        assert accuracy(predict(logits), g.labels, g.train_mask) >= 0.9
+        assert accuracy(predict(logits), g.labels, splits.train) >= 0.9
 
     def test_best_snapshot_restored(self):
         from fairspectral.metrics import accuracy, predict
 
-        g, basis, params, history = self.fit(seed=7)
+        g, splits, basis, params, history = self.fit(seed=7)
         assert history.snapshot_id == params_digest(params)
         assert history.best_val_accuracy == max(history.val_accuracy)
         assert history.val_accuracy[history.best_epoch] == history.best_val_accuracy
         # First strict maximum wins.
         assert history.val_accuracy.index(history.best_val_accuracy) == history.best_epoch
         logits = forward_spectral(params, basis, g.features).value
-        assert accuracy(predict(logits), g.labels, g.val_mask) == history.best_val_accuracy
+        assert accuracy(predict(logits), g.labels, splits.val) == history.best_val_accuracy
 
     def test_repeat_runs_are_bit_identical(self):
         runs = [self.fit(seed=8, max_epochs=40) for _ in range(2)]
-        assert runs[0][3].to_json() == runs[1][3].to_json()
-        assert runs[0][3].snapshot_id == runs[1][3].snapshot_id
+        assert runs[0][4].to_json() == runs[1][4].to_json()
+        assert runs[0][4].snapshot_id == runs[1][4].snapshot_id
 
     def test_max_epochs_bounds_run(self):
-        _, _, _, history = self.fit(seed=9, max_epochs=5)
+        *_, history = self.fit(seed=9, max_epochs=5)
         assert history.epochs_run == 5
 
     def test_patience_stops_stalled_run(self):
