@@ -7,7 +7,9 @@ instances, and construction helpers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +23,17 @@ class CsrMatrix:
     would sum a duplicate that to_dense overwrites).  Symmetry is a contract
     of the callers (both halves are stored explicitly).
 
-    The products' row segments are planned here, once per matrix: the
-    reduceat starts of the non-empty rows, and their mask, which is None
-    when no row is empty.
+    Products sum by jagged diagonals (see _JaggedPlan), planned on the first
+    product and kept on the matrix.  Each row's sum is its leading entries
+    added left to right, then its remaining entries' reduceat sum, if the
+    row has any.  A matrix of fewer than _MIN_ROWS rows is all remainder,
+    one reduceat segment per non-empty row.
     """
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _nonempty: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_ptr", np.ascontiguousarray(self.row_ptr, dtype=np.int64))
@@ -50,11 +52,12 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         if np.any((np.diff(self.row_indices()) == 0) & (np.diff(self.col_idx) <= 0)):
             raise ValueError("column indices must be strictly increasing inside each row")
-        nonempty = counts > 0
-        object.__setattr__(self, "_starts", self.row_ptr[:-1][nonempty])
-        object.__setattr__(self, "_nonempty", None if nonempty.all() else nonempty)
-        for arr in (self.row_ptr, self.col_idx, self.values, self._starts, nonempty):
+        for arr in (self.row_ptr, self.col_idx, self.values):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def _plan(self) -> _JaggedPlan:
+        return _JaggedPlan.build(self.row_ptr, self.col_idx, self.values)
 
     @property
     def nnz(self) -> int:
@@ -77,8 +80,8 @@ class CsrMatrix:
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"expected matrix with {self.n} rows, got {x.shape}")
         # One 1-D product per column, gathered from a contiguous copy: a
-        # 2-D gather and reduceat move several times the memory for the
-        # same sums.  The result equals column-wise matvec bit for bit.
+        # 2-D gather and sum move several times the memory for the same
+        # sums.  The result equals column-wise matvec bit for bit.
         xt = np.ascontiguousarray(x.T)
         out = np.empty(x.shape)
         for c in range(x.shape[1]):
@@ -91,16 +94,56 @@ class CsrMatrix:
         return out
 
 
+# A diagonal is summed as one vector add only when at least this many rows
+# reach it; the entries past the last such diagonal, in the few rows that
+# have them, are summed by reduceat.  Without the bound a row of n - 1
+# entries would cost n - 1 adds of mostly one element each.
+_MIN_ROWS = 64
+
+
+class _JaggedPlan(NamedTuple):
+    """A CSR matrix's entries in jagged-diagonal order (Saad, 1989), bounded
+    as SELL-C-sigma bounds its chunks.  Rows rank by decreasing entry count,
+    ties in row order.  Diagonal j, entry j of every row longer than j, adds
+    to the first rows[j] ranked sums; after the diagonals come the remaining
+    entries of the rows still open, row by row."""
+
+    order: np.ndarray  # row of each rank
+    col_idx: np.ndarray  # diagonals, then the open rows' tails
+    values: np.ndarray
+    rows: tuple[int, ...]
+    tail_starts: np.ndarray  # reduceat starts of the tails, one per open row
+
+    @classmethod
+    def build(cls, row_ptr: np.ndarray, col_idx: np.ndarray, values: np.ndarray) -> _JaggedPlan:
+        counts = np.diff(row_ptr)
+        order = np.argsort(-counts, kind="stable")
+        ranked = counts[order]
+        depth = int(ranked[_MIN_ROWS - 1]) if ranked.size >= _MIN_ROWS else 0
+        rows = np.searchsorted(-ranked, -np.arange(depth + 1))  # rows longer than 0, ..., depth
+        first = row_ptr[order]
+        tail = ranked[:rows[depth]] - depth
+        tail_starts = np.cumsum(tail) - tail
+        entries = np.concatenate([first[:r] + j for j, r in enumerate(rows[:depth])] + [
+            np.arange(tail.sum()) + np.repeat(first[:tail.size] + depth - tail_starts, tail)])
+        return cls(order, col_idx[entries], values[entries], tuple(rows[:depth].tolist()),
+                   tail_starts + (entries.size - tail.sum()))
+
+
 def _product(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a checked length-n vector: gather, scale, segment-sum into
-    rows.  reduceat cannot represent empty segments, so it sums only the
-    non-empty rows; when some row is empty, their sums are scattered into
-    zeros."""
-    sums = np.add.reduceat(a.values * x[a.col_idx], a._starts)
-    if a._nonempty is None:
-        return sums
-    out = np.zeros(a.n)
-    out[a._nonempty] = sums
+    """A @ x for a checked length-n vector, by the matrix's plan.  Empty rows
+    rank last, no diagonal or tail reaches them, and they keep their zero."""
+    plan = a._plan
+    prod = plan.values * x[plan.col_idx]
+    sums = np.zeros(a.n)
+    start = 0
+    for r in plan.rows:
+        sums[:r] += prod[start:start + r]
+        start += r
+    if plan.tail_starts.size:
+        sums[:plan.tail_starts.size] += np.add.reduceat(prod, plan.tail_starts)
+    out = np.empty(a.n)
+    out[plan.order] = sums
     return out
 
 

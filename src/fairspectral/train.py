@@ -1,4 +1,4 @@
-"""Training loop, gradient oracles, and run bookkeeping.
+"""Training loop and run bookkeeping.
 
 The loop is plain full-batch Adam on a masked cross-entropy loss.  Every
 epoch records train loss and validation accuracy plus fairness gaps, keeps
@@ -7,10 +7,6 @@ replace, so earlier epochs win ties), and stops once no improvement has been
 seen for ``patience`` epochs.  A non-finite loss aborts the run immediately;
 the partial history rides along on the exception so callers can inspect how
 the run blew up.
-
-``finite_difference_gradients`` is an independent oracle for the backward
-pass: central differences of the loss with respect to every parameter entry.
-It is slow by construction and intended for tests and verification runs.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ __all__ = [
     "TrainingDivergedError",
     "train",
     "params_digest",
-    "backward_gradients",
-    "finite_difference_gradients",
 ]
 
 
@@ -92,48 +86,6 @@ def params_digest(params: ModelParams) -> str:
         h.update(str(t.value.shape).encode())
         h.update(np.ascontiguousarray(t.value).tobytes())
     return h.hexdigest()
-
-
-def _zero_grads(params: ModelParams) -> None:
-    for _, t in params.named_tensors():
-        t.grad = None
-
-
-def backward_gradients(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray]:
-    """Run backward from ``loss`` and collect per-parameter gradients."""
-    _zero_grads(params)
-    loss.backward()
-    return {name: np.zeros_like(t.value) if t.grad is None else np.array(t.grad)
-            for name, t in params.named_tensors()}
-
-
-def finite_difference_gradients(
-    loss_fn: Callable[[], Tensor],
-    params: ModelParams,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients of ``loss_fn`` for every parameter entry,
-    with step 1e-5.
-
-    ``loss_fn`` must rebuild the graph from the current parameter values on
-    each call; entries are perturbed in place and always restored.
-    """
-    step = 1e-5
-    out = {}
-    for name, t in params.named_tensors():
-        arr = t.value
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + step
-            hi = float(loss_fn().value)
-            arr[ix] = orig - step
-            lo = float(loss_fn().value)
-            arr[ix] = orig
-            grad[ix] = (hi - lo) / (2.0 * step)
-        out[name] = grad
-    return out
 
 
 class _Adam:
@@ -211,7 +163,8 @@ def train(
         elif epoch - history.best_epoch >= config.patience:
             break
 
-        _zero_grads(params)
+        for t in tensors:
+            t.grad = None
         loss.backward()
         opt.step()
 

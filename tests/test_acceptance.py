@@ -38,12 +38,9 @@ from fairspectral.model import (
     spectral_transform,
 )
 from fairspectral.sparse import csr_from_dense, csr_from_edges
-from fairspectral.train import (
-    TrainConfig,
-    backward_gradients,
-    finite_difference_gradients,
-    train,
-)
+from fairspectral.train import TrainConfig, train
+
+from gradient_oracles import backward_gradients, finite_difference_gradients
 
 
 def announce(number, ok, detail):

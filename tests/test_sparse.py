@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairspectral import sparse
 from fairspectral.sparse import (
+    _MIN_ROWS,
     CsrMatrix,
     csr_from_dense,
     csr_from_edges,
@@ -106,8 +108,9 @@ class TestProductsAgainstDense:
         assert m.matmat(x).tobytes() == columns.tobytes()
 
     def test_empty_rows_stay_zero(self):
-        # Row 1 has no entries; reduceat would misattribute it without the
-        # explicit empty-row masking.
+        # Row 1 has no entries, so no diagonal or tail reaches it and it
+        # keeps the zero its sum starts from.  A reduceat segment for it
+        # would read row 2's entry instead.
         a = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         m = csr_from_dense(a)
         np.testing.assert_array_equal(m.matvec([1.0, 1.0, 1.0]), [2.0, 0.0, 2.0])
@@ -142,8 +145,9 @@ class TestProductsAgainstDense:
         ("no-empty-rows", False), ("isolated-weighted", True),
     ])
     def test_products_with_and_without_empty_rows(self, name, empty_rows):
-        # A product that sums every row's segment with reduceat, empty ones
-        # included, is wrong on each case with an empty row.
+        # Empty rows rank last and are never summed.  A plan that gave them
+        # a reduceat segment, which reads an empty segment as the single
+        # entry at its start, is wrong on each case with an empty row.
         m = self.product_case(name)
         assert bool(np.any(np.diff(m.row_ptr) == 0)) == empty_rows
         rng = np.random.default_rng(8)
@@ -163,6 +167,92 @@ class TestProductsAgainstDense:
         m = csr_from_dense(np.eye(3))
         with pytest.raises(ValueError):
             m.matmat(np.ones(3))
+
+
+def hub_operator(n, seed=0):
+    """Row 0 holds n - 1 entries; the other rows a few random ones each."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(1, n, 2 * n), rng.integers(1, n, 2 * n)
+    keep = u != v
+    hub = np.arange(1, n)
+    rows = np.concatenate([u[keep], v[keep], np.zeros(n - 1, dtype=np.int64), hub])
+    cols = np.concatenate([v[keep], u[keep], hub, np.zeros(n - 1, dtype=np.int64)])
+    return csr_from_edges(n, rows, cols, rng.standard_normal(rows.shape[0]))
+
+
+def diagonals_of_min_rows(m):
+    """How many diagonals (entry j of every row longer than j) hold at
+    least _MIN_ROWS rows."""
+    counts = np.diff(m.row_ptr)
+    return sum(int(np.sum(counts > j)) >= _MIN_ROWS for j in range(int(counts.max(initial=0))))
+
+
+class TestJaggedPlan:
+    def test_hub_row_matches_dense_with_bounded_adds(self):
+        m = hub_operator(300)
+        x = np.random.default_rng(1).standard_normal(m.n)
+        np.testing.assert_allclose(m.matvec(x), m.to_dense() @ x, rtol=0, atol=1e-12)
+        # One slice add per stored diagonal; an unbounded layout would run
+        # one per entry of the hub row, 299.
+        assert np.diff(m.row_ptr).max() == m.n - 1
+        assert len(m._plan.rows) <= diagonals_of_min_rows(m) < 20
+        assert m._plan.tail_starts.size < _MIN_ROWS
+
+    def test_rows_rank_by_length_with_ties_in_row_order(self):
+        counts = [2, 3, 0, 2, 3, 2]
+        row_ptr = np.concatenate([[0], np.cumsum(counts)])
+        cols = np.concatenate([np.arange(c) for c in counts])
+        m = CsrMatrix(6, row_ptr, cols, np.ones(row_ptr[-1]))
+        np.testing.assert_array_equal(m._plan.order, [1, 4, 0, 3, 5, 2])
+
+    def test_few_rows_are_all_tail_as_one_reduceat(self):
+        rng = np.random.default_rng(2)
+        a = random_masked_symmetric(rng, _MIN_ROWS - 1, density=0.3)
+        a[5] = 0.0
+        m = csr_from_dense(a)
+        assert m._plan.rows == ()
+        x = rng.standard_normal(m.n)
+        nonempty = np.diff(m.row_ptr) > 0
+        expect = np.zeros(m.n)
+        expect[nonempty] = np.add.reduceat(m.values * x[m.col_idx], m.row_ptr[:-1][nonempty])
+        np.testing.assert_array_equal(m.matvec(x), expect)
+
+    def test_zero_operator(self):
+        n = 200
+        m = csr_from_dense(np.zeros((n, n)))
+        assert m._plan.rows == () and m._plan.tail_starts.size == 0
+        np.testing.assert_array_equal(m.matvec(np.ones(n)), np.zeros(n))
+        np.testing.assert_array_equal(m.matmat(np.ones((n, 2))), np.zeros((n, 2)))
+
+    def test_plan_is_built_on_the_first_product_only(self, monkeypatch):
+        builds = []
+        build = sparse._JaggedPlan.build
+        monkeypatch.setattr(sparse._JaggedPlan, "build",
+                            lambda *args: builds.append(1) or build(*args))
+        m = hub_operator(200)
+        assert "_plan" not in vars(m) and not builds
+        m.matvec(np.ones(m.n))
+        m.matmat(np.ones((m.n, 3)))
+        assert len(builds) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=300),
+       st.floats(min_value=0.0, max_value=0.2))
+def test_products_match_dense_on_jagged_patterns(seed, n, density):
+    """Random (not symmetric) patterns with empty rows and one long row."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    a[rng.integers(0, n, n // 4 + 1)] = 0.0
+    a[rng.integers(n)] = rng.standard_normal(n)
+    m = csr_from_dense(a)
+    x = rng.standard_normal((n, 3))
+    for c in range(3):
+        got = m.matvec(x[:, c])
+        np.testing.assert_allclose(got, a @ x[:, c], rtol=0, atol=1e-12)
+        assert m.matvec(x[:, c]).tobytes() == got.tobytes()
+    columns = np.column_stack([m.matvec(x[:, c]) for c in range(3)])
+    assert m.matmat(x).tobytes() == columns.tobytes()
 
 
 class TestFromDense:

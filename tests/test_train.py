@@ -21,12 +21,12 @@ from fairspectral.train import (
     TrainConfig,
     TrainHistory,
     TrainingDivergedError,
-    backward_gradients,
-    finite_difference_gradients,
     params_digest,
     train,
 )
 from fairspectral import autodiff as ad
+
+from gradient_oracles import backward_gradients, finite_difference_gradients
 
 
 def small_instance(seed=0, n=40):
