@@ -598,8 +598,8 @@ def top_k_eigenpairs(
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
 
     m = min(n, max(2 * k + 10, _BLOCK))

@@ -157,8 +157,8 @@ class SbmConfig:
             raise ValueError("label_bias must lie in [0.5, 1]")
         if self.d < 2:
             raise ValueError("d must be at least 2 (sensitive column plus noise)")
-        if not self.noise_sd > 0.0:
-            raise ValueError("noise_sd must be positive")
+        if not 0.0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite")
 
 
 def load_graph(

@@ -27,7 +27,12 @@ class CsrMatrix:
     product and kept on the matrix.  Each row's sum is its leading entries
     added left to right, then its remaining entries' reduceat sum, if the
     row has any.  A matrix of fewer than _MIN_ROWS rows is all remainder,
-    one reduceat segment per non-empty row.
+    one reduceat segment per non-empty row.  A product gathers and multiplies
+    the entries a block of whole diagonals at a time, at most _BLOCK_ENTRIES
+    (256 KB) unless one diagonal is longer, into one scratch buffer that
+    every block reuses; a gather by rank then puts the sums in row order.
+    The blocks move no rounding: each entry is multiplied once, and each
+    row's adds come in the same order as in one pass over all entries.
     """
 
     n: int
@@ -100,19 +105,31 @@ class CsrMatrix:
 # entries would cost n - 1 adds of mostly one element each.
 _MIN_ROWS = 64
 
+# Entries gathered and multiplied at a time: 256 KB of products, which stay
+# in a core's L2 until the adds read them back.
+_BLOCK_ENTRIES = 1 << 15
+
 
 class _JaggedPlan(NamedTuple):
     """A CSR matrix's entries in jagged-diagonal order (Saad, 1989), bounded
     as SELL-C-sigma bounds its chunks.  Rows rank by decreasing entry count,
     ties in row order.  Diagonal j, entry j of every row longer than j, adds
     to the first rows[j] ranked sums; after the diagonals come the remaining
-    entries of the rows still open, row by row."""
+    entries of the rows still open, row by row: the tail.
 
-    order: np.ndarray  # row of each rank
+    Blocks group whole consecutive diagonals, at most _BLOCK_ENTRIES entries
+    unless one diagonal alone is longer.  The tail joins the last block when
+    it fits and is a block of its own otherwise, so the tail_starts index
+    the last block.  width is the largest block, the length of the scratch
+    buffer that every block of a product reuses."""
+
+    rank: np.ndarray  # rank of each row
     col_idx: np.ndarray  # diagonals, then the open rows' tails
     values: np.ndarray
     rows: tuple[int, ...]
-    tail_starts: np.ndarray  # reduceat starts of the tails, one per open row
+    blocks: tuple[tuple[int, int, tuple[int, ...]], ...]  # entry start, stop, diagonals' rows
+    tail_starts: np.ndarray  # reduceat starts of the tails in the last block
+    width: int
 
     @classmethod
     def build(cls, row_ptr: np.ndarray, col_idx: np.ndarray, values: np.ndarray) -> _JaggedPlan:
@@ -126,25 +143,47 @@ class _JaggedPlan(NamedTuple):
         tail_starts = np.cumsum(tail) - tail
         entries = np.concatenate([first[:r] + j for j, r in enumerate(rows[:depth])] + [
             np.arange(tail.sum()) + np.repeat(first[:tail.size] + depth - tail_starts, tail)])
-        return cls(order, col_idx[entries], values[entries], tuple(rows[:depth].tolist()),
-                   tail_starts + (entries.size - tail.sum()))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # Greedy blocks over the diagonals, then the tail as one more piece.
+        diagonals, tail_size = rows[:depth].tolist(), int(tail.sum())
+        blocks, members, start, stop = [], [], 0, 0
+        for size in diagonals + [tail_size] * (tail_size > 0):
+            if members and stop + size - start > _BLOCK_ENTRIES:
+                blocks.append((start, stop, members))
+                members, start = [], stop
+            members.append(size)
+            stop += size
+        if members:
+            blocks.append((start, stop, members))
+        if tail_size:
+            start, stop, members = blocks[-1]
+            blocks[-1] = (start, stop, members[:-1])
+        return cls(rank, col_idx[entries], values[entries], tuple(diagonals),
+                   tuple((a, b, tuple(m)) for a, b, m in blocks),
+                   tail_starts + (stop - tail_size - start),
+                   max((b - a for a, b, _ in blocks), default=0))
 
 
 def _product(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a checked length-n vector, by the matrix's plan.  Empty rows
-    rank last, no diagonal or tail reaches them, and they keep their zero."""
+    """A @ x for a checked length-n vector, by the matrix's plan, one block
+    at a time through one buffer.  Empty rows rank last, no diagonal or tail
+    reaches them, and they keep their zero."""
     plan = a._plan
-    prod = plan.values * x[plan.col_idx]
+    buf = np.empty(plan.width)
     sums = np.zeros(a.n)
-    start = 0
-    for r in plan.rows:
-        sums[:r] += prod[start:start + r]
-        start += r
+    for start, stop, rows in plan.blocks:
+        # Indices were checked at construction, so "clip" never clips; it
+        # lets take write straight into the buffer.
+        prod = x.take(plan.col_idx[start:stop], out=buf[:stop - start], mode="clip")
+        prod *= plan.values[start:stop]
+        at = 0
+        for r in rows:
+            sums[:r] += prod[at:at + r]
+            at += r
     if plan.tail_starts.size:
         sums[:plan.tail_starts.size] += np.add.reduceat(prod, plan.tail_starts)
-    out = np.empty(a.n)
-    out[plan.order] = sums
-    return out
+    return sums.take(plan.rank)
 
 
 def csr_from_dense(a: np.ndarray, tol: float = 0.0) -> CsrMatrix:

@@ -50,10 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 

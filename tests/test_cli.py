@@ -512,7 +512,12 @@ class TestUnusableValues:
         ("eig", "--graph", "{data}", "--tol", "nan", "--out", "{tmp}/b.bin"),
         TRAIN + ("--lr", "nan"),
         TRAIN + ("--weight-decay", "nan"),
-    ], ids=["gen-noise-sd", "eig-tol", "train-lr", "train-weight-decay"])
+        ("gen", "--n", "30", "--noise-sd", "inf", "--out", "{tmp}/g"),
+        ("eig", "--graph", "{data}", "--tol", "inf", "--out", "{tmp}/b.bin"),
+        TRAIN + ("--lr", "inf"),
+        TRAIN + ("--weight-decay", "inf"),
+    ], ids=["gen-noise-sd", "eig-tol", "train-lr", "train-weight-decay",
+            "gen-noise-sd-inf", "eig-tol-inf", "train-lr-inf", "train-weight-decay-inf"])
     def test_nan_setting(self, tmp_path, capsys, argv):
         data = gen_graph(tmp_path)
         write_basis(data, 2)

@@ -426,6 +426,8 @@ class TestSparseAgainstDense:
             top_k_eigenpairs(m, 6)
         with pytest.raises(ValueError):
             top_k_eigenpairs(m, 2, tol=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            top_k_eigenpairs(m, 2, tol=np.inf)
 
     def test_work_counts_on_the_default_graph(self, monkeypatch):
         # The default 2000-node SBM at seed 0, as `gen` and `eig` run it.

@@ -2,10 +2,13 @@
 
 Every product route (matvec, matmat) is compared with the dense oracle
 ``A @ x`` on instances small enough that numpy's dense path is beyond
-suspicion.  Construction helpers are checked for the layout invariants
-the rest of the package relies on: sorted columns within rows, summed
-duplicates, and read-only buffers.
+suspicion, and byte for byte with the unblocked sums of
+``product_oracles.jagged_product``.  Construction helpers are checked for
+the layout invariants the rest of the package relies on: sorted columns
+within rows, summed duplicates, and read-only buffers.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from fairspectral.sparse import (
     csr_from_edges,
     is_symmetric,
 )
+
+from product_oracles import jagged_product
 
 
 def random_masked_symmetric(rng, n, density=0.1):
@@ -203,7 +208,7 @@ class TestJaggedPlan:
         row_ptr = np.concatenate([[0], np.cumsum(counts)])
         cols = np.concatenate([np.arange(c) for c in counts])
         m = CsrMatrix(6, row_ptr, cols, np.ones(row_ptr[-1]))
-        np.testing.assert_array_equal(m._plan.order, [1, 4, 0, 3, 5, 2])
+        np.testing.assert_array_equal(np.argsort(m._plan.rank), [1, 4, 0, 3, 5, 2])
 
     def test_few_rows_are_all_tail_as_one_reduceat(self):
         rng = np.random.default_rng(2)
@@ -236,23 +241,77 @@ class TestJaggedPlan:
         assert len(builds) == 1
 
 
+def assert_blocks_partition_rows(plan, bound):
+    """The blocks cover the entries in order, their diagonals are the plan's
+    rows in order, the tail sits at the end of the last block, and a block
+    is over the bound only when it is one diagonal or the tail alone."""
+    tail = plan.col_idx.size - sum(plan.rows)
+    starts = [0] + [stop for _, stop, _ in plan.blocks]
+    assert [start for start, _, _ in plan.blocks] == starts[:-1]
+    assert starts[-1] == plan.col_idx.size
+    assert tuple(r for _, _, rows in plan.blocks for r in rows) == plan.rows
+    for i, (start, stop, rows) in enumerate(plan.blocks):
+        own_tail = tail if i == len(plan.blocks) - 1 else 0
+        assert stop - start == sum(rows) + own_tail > 0
+        if stop - start > bound:
+            assert (len(rows), own_tail) == (1, 0) or rows == ()
+    assert plan.width == max((stop - start for start, stop, _ in plan.blocks), default=0)
+    if plan.tail_starts.size:
+        start, stop, _ = plan.blocks[-1]
+        assert plan.tail_starts[0] == stop - start - tail
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=300),
        st.floats(min_value=0.0, max_value=0.2))
 def test_products_match_dense_on_jagged_patterns(seed, n, density):
-    """Random (not symmetric) patterns with empty rows and one long row."""
+    """Random (not symmetric) patterns with empty rows and one long row,
+    planned in blocks of the default size and of a few entries, so that
+    products span many blocks and a lone diagonal or tail outgrows one."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     a[rng.integers(0, n, n // 4 + 1)] = 0.0
     a[rng.integers(n)] = rng.standard_normal(n)
-    m = csr_from_dense(a)
     x = rng.standard_normal((n, 3))
-    for c in range(3):
-        got = m.matvec(x[:, c])
-        np.testing.assert_allclose(got, a @ x[:, c], rtol=0, atol=1e-12)
-        assert m.matvec(x[:, c]).tobytes() == got.tobytes()
-    columns = np.column_stack([m.matvec(x[:, c]) for c in range(3)])
-    assert m.matmat(x).tobytes() == columns.tobytes()
+    for bound in (sparse._BLOCK_ENTRIES, 1, 7, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "_BLOCK_ENTRIES", bound)
+            m = csr_from_dense(a)
+            m.matvec(x[:, 0])
+        assert_blocks_partition_rows(m._plan, bound)
+        for c in range(3):
+            got = m.matvec(x[:, c])
+            np.testing.assert_allclose(got, a @ x[:, c], rtol=0, atol=1e-12)
+            assert got.tobytes() == jagged_product(m, x[:, c]).tobytes()
+        columns = np.column_stack([jagged_product(m, x[:, c]) for c in range(3)])
+        assert m.matmat(x).tobytes() == columns.tobytes()
+
+
+def criterion_10_graph():
+    """Acceptance criterion 10's random weighted graph: n=20000, rng 1010,
+    159962 entries, eight blocks."""
+    rng = np.random.default_rng(1010)
+    n = 20000
+    u, v = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    w = rng.standard_normal(u.shape[0])
+    return csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]),
+                          np.concatenate([w, w]))
+
+
+def test_products_at_full_size_are_frozen():
+    # Digests recorded before products were blocked; a change that moves
+    # their rounding must say so and re-record them.
+    m = criterion_10_graph()
+    x = np.random.default_rng(11).standard_normal((m.n, 3))
+    assert m.nnz == 159962
+    assert hashlib.sha256(m.matvec(x[:, 0]).tobytes()).hexdigest() == (
+        "a4ddad8d262b3dcdec2573be8da3edc0a16dc3d1fea7f41a8b7adf3d1e9a98f7")
+    assert hashlib.sha256(m.matmat(x).tobytes()).hexdigest() == (
+        "813cff3b5f1421fa267ccc663838db9223d9e77eead6ab08914d7d2772457cf3")
+    assert len(m._plan.blocks) > 1
+    assert_blocks_partition_rows(m._plan, sparse._BLOCK_ENTRIES)
 
 
 class TestFromDense:
