@@ -12,9 +12,11 @@ Two independent routes to the same quantities:
 ``full_dense_eigendecomposition``
     Classical dense path, split as in LAPACK dsyevd: blocked Householder
     reduction to tridiagonal form T = Q^T A Q, divide and conquer for the
-    eigenpairs of T (leaves of at most 32 rows by implicit-shift QL and
-    inverse iteration, merges by a deflated secular equation), and a
-    compact-WY back-transform that applies Q without forming it.
+    eigenpairs of T (split up front into leaves of at most 32 rows, each
+    with implicit-shift QL values, every leaf of one size with its vectors
+    from one batched inverse iteration; merges by a deflated secular
+    equation), and a compact-WY back-transform that applies Q without
+    forming it.
     Quadratic storage, cubic time, all n pairs.  Serves as the reference
     the sparse route is checked against, and as the small-problem solver
     inside the Lanczos restarts.
@@ -26,6 +28,7 @@ the magnitude broken by lowest row index).
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -40,7 +43,8 @@ _FSB_MAGIC = b"FSB1"
 
 # Reflectors per panel in _tridiagonalize, the row count below which it runs
 # unblocked, reflectors per compact-WY group in _apply_q, and the largest
-# leaf of the divide and conquer in _tridiagonal_eig.
+# leaf that _tridiagonal_eig's up-front partition leaves (all leaves of one
+# size share one inverse-iteration batch).
 _BLOCK = 32
 
 # The share of its input norm below which one Gram-Schmidt pass in
@@ -101,6 +105,14 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return int(self.eigenvectors.shape[0])
+
+    @functools.cached_property
+    def eigenvectors_t(self) -> np.ndarray:
+        """P^T as a read-only C-ordered copy, built on first use and kept on
+        the basis; not a field, so save_basis and equality never see it."""
+        pt = self.eigenvectors.T.copy()
+        pt.flags.writeable = False
+        return pt
 
     @property
     def k(self) -> int:
@@ -288,21 +300,31 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50)
 
 
 def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Eigenvectors (columns) of the tridiagonal matrix (d, e[1:]) for the
-    ascending eigenvalues w, by inverse iteration on all shifts at once.
+    """Eigenvectors of L tridiagonal matrices of one order n by inverse
+    iteration on all their shifts at once.
 
-    Positions are rows, so each recurrence step is one contiguous row over
-    all shifts.  T is scaled to unit infinity norm, then T - w_j I is
-    factored once without pivoting; pivots below eps are raised to eps with
-    their sign.  Three solves run from a fixed-seed random start; each is
-    followed by normalizing the columns and a QR of every cluster: a run of
-    eigenvalues with consecutive gaps at most 1e-3 (LAPACK dstein's rule).
+    Column l of d, e and w (each n by L) holds matrix l: its diagonal, its
+    subdiagonal (e[0, l] == 0) and its ascending eigenvalues.  Columns
+    l n ... l n + n - 1 of the result are matrix l's eigenvectors.  Each
+    matrix keeps the arithmetic it would have alone: its own scale, its own
+    start and its own clusters.  Positions are rows, so each recurrence step
+    is one contiguous row over every shift.  Each matrix is scaled to unit
+    infinity norm, then T - w_j I is factored once without pivoting; pivots
+    below eps are raised to eps with their sign.  Three solves run from a
+    fixed-seed random start; each is followed by normalizing the columns and
+    a QR of every cluster: a run of one matrix's eigenvalues with consecutive
+    gaps at most 1e-3 (LAPACK dstein's rule).
     """
-    n, m = d.shape[0], w.shape[0]
+    n, count = d.shape
     # e[0] == 0, so row i of T has |e[i]| + |d[i]| + |e[i + 1]|.
-    tnorm = float(np.max(np.abs(d) + np.abs(e) + np.abs(np.append(e[1:], 0.0))))
-    if tnorm > 0.0:
-        d, e, w = d / tnorm, e / tnorm, w / tnorm
+    rows = np.abs(d) + np.abs(e)
+    rows[:-1] += np.abs(e[1:])
+    tnorm = rows.max(axis=0)
+    tnorm[tnorm == 0.0] = 1.0  # dividing by 1 is exact
+    # One column per shift, each holding its matrix's scaled d and e.
+    d, e = np.repeat(d / tnorm, n, axis=1), np.repeat(e / tnorm, n, axis=1)
+    w = (w / tnorm).ravel(order="F")
+    m = w.shape[0]
     eps = np.finfo(np.float64).eps
     # inv_u holds 1 / U's diagonal; L's subdiagonal is e[i] * inv_u[i - 1].
     inv_u = np.empty((n, m))
@@ -314,9 +336,11 @@ def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np
         np.copysign(np.maximum(np.abs(row), eps), row, out=row)
         np.divide(1.0, row, out=inv_u[i])
 
-    cuts = (np.flatnonzero(np.diff(w) > 1e-3) + 1).tolist()
+    cut = np.diff(w) > 1e-3
+    cut[n - 1 :: n] = True  # a cluster never spans two matrices
+    cuts = (np.flatnonzero(cut) + 1).tolist()
     clusters = [(a, b) for a, b in zip([0] + cuts, cuts + [m]) if b - a > 1]
-    y = np.random.default_rng(0).standard_normal((n, m))
+    y = np.tile(np.random.default_rng(0).standard_normal((n, n)), count)
     for _ in range(3):
         for i in range(1, n):
             np.multiply(inv_u[i - 1], e[i], out=row)
@@ -335,21 +359,40 @@ def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np
 
 def _tridiagonal_eig(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (vectors as columns) of the tridiagonal (d, e[1:]), e[0] == 0,
-    by Cuppen's divide and conquer (Numer. Math. 36, 1981; LAPACK dstedc).
-    Leaves of up to _BLOCK rows: QL values (ascending), inverse iteration.
-    Above, T is its halves at row m = n // 2, less |e[m]| where they touch,
-    plus a rank-one term; the halves recurse and _merge joins them.
+    by Cuppen's divide and conquer (Numer. Math. 36, 1981), partitioned up
+    front as in LAPACK dstedc/dlaed0.  A part [lo, hi) of more than _BLOCK
+    rows splits at m = lo + (hi - lo) // 2: T is its halves, less |e[m]| on
+    d[m - 1] and d[m], plus a rank-one term; no entry takes two
+    subtractions.  The leaves take their QL values (ascending) in row order,
+    so the first that fails raises.  Every leaf of one size then gets its
+    vectors from one _tridiagonal_eigenvectors call, and _merge joins the
+    parts bottom-up.
     """
     n = d.shape[0]
-    if n <= _BLOCK:
-        w = np.sort(_tridiagonal_eigenvalues(d, e))
-        return w, _tridiagonal_eigenvectors(d, e, w)
-    m, beta = n // 2, float(e[n // 2])
-    d = d.copy()
-    d[m - 1 : m + 1] -= abs(beta)
-    w1, q1 = _tridiagonal_eig(d[:m], e[:m])
-    w2, q2 = _tridiagonal_eig(d[m:], np.append(0.0, e[m + 1 :]))
-    return _merge(w1, q1, w2, q2, beta)
+    d, e = d.copy(), e.copy()
+    splits, leaves, todo = [], [], [(0, n)]
+    while todo:  # depth first, left half first: leaves in row order
+        lo, hi = todo.pop()
+        if hi - lo <= _BLOCK:
+            leaves.append((lo, hi))
+            continue
+        m = lo + (hi - lo) // 2
+        beta = float(e[m])
+        d[m - 1 : m + 1] -= abs(beta)
+        e[m] = 0.0
+        splits.append((lo, m, hi, beta))
+        todo += [(m, hi), (lo, m)]
+    w = np.concatenate([np.sort(_tridiagonal_eigenvalues(d[lo:hi], e[lo:hi])) for lo, hi in leaves])
+    parts = {}
+    for size in {hi - lo for lo, hi in leaves}:
+        group = [(lo, hi) for lo, hi in leaves if hi - lo == size]
+        stacked = (np.column_stack([x[lo:hi] for lo, hi in group]) for x in (d, e, w))
+        y = _tridiagonal_eigenvectors(*stacked)
+        for j, (lo, hi) in enumerate(group):
+            parts[lo, hi] = w[lo:hi], y[:, j * size : (j + 1) * size]
+    for lo, m, hi, beta in reversed(splits):  # children come after parents
+        parts[lo, hi] = _merge(*parts.pop((lo, m)), *parts.pop((m, hi)), beta)
+    return parts[0, n]
 
 
 def _merge(w1: np.ndarray, q1: np.ndarray, w2: np.ndarray, q2: np.ndarray,
@@ -478,8 +521,10 @@ def _secular(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.n
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a dense symmetric matrix: (eigenvalues ascending,
     eigenvectors as columns).  Householder tridiagonalization, divide and
-    conquer on T, a compact-WY back-transform; no library eigensolver.  If a
-    leaf's QL runs out of sweeps, NoConvergenceError carries Q and a diagonal
+    conquer on T (partitioned into leaves up front, the leaves of one size
+    batched through one inverse iteration), a compact-WY back-transform; no
+    library eigensolver.  If a leaf's QL runs out of sweeps (the first such
+    leaf in row order raises), NoConvergenceError carries Q and a diagonal
     (QL's partly reduced one if n <= _BLOCK, else T's), in input coordinates.
     """
     a = np.asarray(a, dtype=np.float64)

@@ -220,9 +220,8 @@ def spectral_transform(basis: SpectralBasis, modulation: Tensor, h: Tensor) -> T
     of every feature column.  The result always lies in the span of the
     retained eigenvectors, so its rank is at most K.
     """
-    p = basis.eigenvectors
-    coeffs = ad.matmul(ad.constant(p.T.copy()), h)
-    return ad.matmul(ad.constant(p), ad.mul(modulation, coeffs))
+    coeffs = ad.matmul(ad.constant(basis.eigenvectors_t), h)
+    return ad.matmul(ad.constant(basis.eigenvectors), ad.mul(modulation, coeffs))
 
 
 def forward_spectral(

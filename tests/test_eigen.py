@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigen_oracles import tridiagonal_eig
 from fairspectral import eigen
 from fairspectral.eigen import (
     DenseLimitError,
@@ -184,11 +185,36 @@ class TestDenseRoute:
         assert np.max(np.abs(np.triu(t, 2))) <= 1e-13
         np.testing.assert_allclose(np.diag(t), basis.eigenvalues, rtol=0, atol=1e-13)
 
+    # n = 100 has four leaves of 25 rows; the third leaf's QL fails after
+    # the first two have succeeded.
+    def test_ql_failure_in_a_later_leaf_carries_q_and_t_diagonal(self, monkeypatch):
+        calls = []
+
+        def third_fails(d, e):
+            calls.append(d.shape[0])
+            return _tridiagonal_eigenvalues(d, e, max_sweeps=0 if len(calls) == 3 else 50)
+
+        rng = np.random.default_rng(13)
+        a = random_sparse_symmetric(rng, 100, density=0.5)
+        monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues", third_fails)
+        with pytest.raises(NoConvergenceError, match="failed to deflate") as info:
+            dense_symmetric_eig(a)
+        assert calls == [25, 25, 25]
+        basis = info.value.basis
+        q = basis.eigenvectors
+        assert np.max(np.abs(q.T @ q - np.eye(100))) <= 1e-13
+        t = q.T @ a @ q
+        assert np.max(np.abs(np.triu(t, 2))) <= 1e-13
+        np.testing.assert_allclose(np.diag(t), basis.eigenvalues, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(basis.eigenvalues, eigen._tridiagonalize(a)[0])
+
     def test_peak_memory_within_six_n_squared_doubles(self):
         # tracemalloc peak on the 400-node SBM operator: 3.3 n^2 doubles with
         # QL and inverse iteration on the whole tridiagonal, 3.5 n^2 with
         # divide and conquer (the reflectors, both halves' eigenvectors, the
-        # merge's small matrix and its product).
+        # merge's small matrix and its product).  Later measured: 4.42 n^2
+        # with the recursive leaves, 4.49 n^2 with the leaves partitioned up
+        # front and batched.
         a = normalize(generate_sbm(SbmConfig(n=400, seed=0)), "sym").to_dense()
         tracemalloc.start()
         try:
@@ -359,6 +385,74 @@ class TestDenseHardSpectra:
         w2, v2 = dense_symmetric_eig(a)
         assert w1.tobytes() == w2.tobytes()
         assert v1.tobytes() == v2.tobytes()
+
+
+def dense_tridiagonal(d, e):
+    return np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
+
+
+def assert_matches_recursive_oracle(d, e):
+    """The partitioned solver's bytes equal the recursive one's."""
+    w, q = eigen._tridiagonal_eig(d, e)
+    w_ref, q_ref = tridiagonal_eig(d, e)
+    assert w.tobytes() == w_ref.tobytes()
+    assert q.tobytes() == q_ref.tobytes()
+
+
+class TestPartitionedTridiagonalSolver:
+    """eigen._tridiagonal_eig splits into leaves up front and solves every
+    leaf of one size in one inverse-iteration batch; tests/eigen_oracles.py
+    keeps the recursion that solves each leaf alone.  Byte equality shows
+    that each leaf keeps its own scale, random start and clusters."""
+
+    # n = 33 splits into leaves of 16 and 17; n = 65 into a 32-row leaf and
+    # 33 rows, which split again into 16 and 17; n = 257 has all three sizes.
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 64, 65, 100, 257])
+    def test_random_tridiagonals(self, n):
+        rng = np.random.default_rng(n)
+        assert_matches_recursive_oracle(rng.standard_normal(n),
+                                        np.append(0.0, rng.standard_normal(n - 1)))
+
+    def test_zero_tridiagonal(self):
+        assert_matches_recursive_oracle(np.zeros(100), np.zeros(100))
+
+    def test_decoupled_blocks(self):
+        rng = np.random.default_rng(7)
+        e = np.append(0.0, rng.standard_normal(149))
+        e[[10, 50, 75, 76, 120]] = 0.0
+        assert_matches_recursive_oracle(rng.standard_normal(150), e)
+
+    def test_wilkinson_clusters(self):
+        w = wilkinson_plus(50)
+        assert_matches_recursive_oracle(np.diag(w).copy(), np.append(0.0, np.diag(w, 1)))
+
+    def test_clusters_stop_at_leaf_boundaries(self):
+        # Two 32-row leaves with equal scale (a decoupled -10 row in the
+        # first, a +10 row in the second): the second leaf's smallest value
+        # lies 5e-3 above the first leaf's largest, 5e-4 after scaling, so a
+        # cluster cut over the concatenated values would join them.
+        rng = np.random.default_rng(3)
+        inner_d, inner_e = rng.random(31), np.append(0.0, 0.1 * rng.random(30))
+        inner = np.linalg.eigvalsh(dense_tridiagonal(inner_d, inner_e))
+        shift = inner[-1] - inner[0] + 5e-3
+        d = np.concatenate(([-10.0], inner_d, inner_d + shift, [10.0]))
+        e = np.concatenate(([0.0, 0.0], inner_e[1:], [0.0], inner_e[1:], [0.0]))
+        first = np.linalg.eigvalsh(dense_tridiagonal(d[:32], e[:32]))
+        second = np.linalg.eigvalsh(dense_tridiagonal(d[32:], e[32:]))
+        assert 0.0 < (second[0] - first[-1]) / 10.0 < 1e-3
+        assert_matches_recursive_oracle(d, e)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_the_recursion(self, n, seed, ties):
+        rng = np.random.default_rng(seed)
+        if ties:  # a few values, so zero couplings and repeats abound
+            d = rng.choice([-1.0, 0.0, 1.0, 2.0], n)
+            e = rng.choice([-1.0, 0.0, 0.5, 1.0], n)
+        else:
+            d, e = rng.standard_normal(n), rng.standard_normal(n)
+        e[0] = 0.0
+        assert_matches_recursive_oracle(d, e)
 
 
 class TestSparseAgainstDense:
@@ -549,6 +643,17 @@ class TestBasisContainer:
         assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
         assert loaded.eigenvectors.tobytes() == basis.eigenvectors.tobytes()
         assert loaded.residuals is None
+
+    def test_transposed_eigenvectors_are_cached_and_never_saved(self, tmp_path):
+        basis = dense_prefix(random_sparse_symmetric(np.random.default_rng(32), 20, density=0.4), 5)
+        save_basis(basis, tmp_path / "before.bin")
+        assert "eigenvectors_t" not in vars(basis)
+        pt = basis.eigenvectors_t
+        assert pt.tobytes() == basis.eigenvectors.T.copy().tobytes()
+        assert pt.flags.c_contiguous and not pt.flags.writeable
+        assert basis.eigenvectors_t is pt
+        save_basis(basis, tmp_path / "after.bin")
+        assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

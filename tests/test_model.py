@@ -121,6 +121,23 @@ class TestSpectralFilter:
         s = np.linalg.svd(out, compute_uv=False)
         assert s[2:].max() < 1e-12
 
+    # P^T is copied once per basis, not per call; the products read the same
+    # C-ordered P^T as a fresh copy would, so the bytes are those of the
+    # per-call copy, also at width 1, where a transposed view would run
+    # another kernel.
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_transpose_is_built_once_with_the_per_call_bytes(self, width):
+        basis = unit_basis(40, 12, seed=15)
+        p = basis.eigenvectors
+        mod = np.random.default_rng(16).standard_normal((12, 1))
+        h = np.random.default_rng(17).standard_normal((40, width))
+        first = spectral_transform(basis, ad.constant(mod), ad.constant(h)).value
+        pt = basis.eigenvectors_t
+        second = spectral_transform(basis, ad.constant(mod), ad.constant(h)).value
+        assert basis.eigenvectors_t is pt
+        expected = p @ (mod * (p.T.copy() @ h))
+        assert first.tobytes() == second.tobytes() == expected.tobytes()
+
     def test_truncated_unit_filter_is_idempotent(self):
         # A unit filter over a partial basis is the orthogonal projector
         # onto its span, so applying it twice changes nothing.
