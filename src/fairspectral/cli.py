@@ -73,7 +73,7 @@ from .graph import (
     make_splits,
     normalize,
 )
-from .metrics import FairnessReport, evaluate
+from .metrics import FairnessReport, evaluate, report_json
 from .model import (
     forward_propagation,
     forward_spectral,
@@ -244,7 +244,7 @@ def _cmd_eig(s: dict) -> int:
         "matvecs": basis.matvecs,
         "restarts": basis.restarts,
     }
-    _write(_sidecar_path(out), json.dumps(sidecar, indent=2) + "\n")
+    _write(_sidecar_path(out), report_json(sidecar, sort_keys=False) + "\n")
     print(f"{method}: {basis.k} pairs of n={basis.n} in {elapsed:.3f}s -> {out}")
     return EXIT_OK
 
@@ -272,9 +272,9 @@ def _cmd_analyze(s: dict) -> int:
         report = _CHECK_RUNNERS[name](s)
         reports.append(report)
         print(f"{name}: {'pass' if report.verdict else 'FAIL'} (gap {report.gap:.3e})")
-    payload = {"checks": [json.loads(r.to_json()) for r in reports]}
     if s["out"]:
-        _write(Path(s["out"]), json.dumps(payload, indent=2) + "\n")
+        payload = {"checks": [r.to_dict() for r in reports]}
+        _write(Path(s["out"]), report_json(payload, sort_keys=True) + "\n")
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERIFICATION
 
 
@@ -322,7 +322,7 @@ def _cmd_train(s: dict) -> int:
 
     run_dir = Path(s["out"]) / f"run-{run_digest('train', s, content)}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write(run_dir / "settings.json", json.dumps(s, indent=2, sort_keys=True) + "\n")
+    _write(run_dir / "settings.json", report_json(s, sort_keys=True) + "\n")
     _write(run_dir / "history.json", history.to_json() + "\n")
     _write(run_dir / "metrics.json", report.to_json() + "\n")
     print(
@@ -374,7 +374,7 @@ def _cmd_bench(s: dict) -> int:
               f" +- {results[-1]['delta_sp_sd']:.4f}")
     if s["out"]:
         payload = {"n": s["n"], "results": results}
-        _write(Path(s["out"]), json.dumps(payload, indent=2) + "\n")
+        _write(Path(s["out"]), report_json(payload, sort_keys=False) + "\n")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairspectral import eigen
+from fairspectral import convergence, eigen
 from fairspectral.cli import main
 from fairspectral.eigen import SpectralBasis, load_basis, save_basis
 from fairspectral.sparse import CsrMatrix
@@ -26,6 +26,16 @@ def gen_graph(tmp_path, name="data", n=60, extra=()):
                "--seed", "1", "--out", str(out), *extra)
     assert code == 0
     return out
+
+
+def _refuse(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+def read_json(path):
+    """The JSON document in path, refusing the NaN and Infinity tokens that
+    json.loads accepts but that are not JSON, so a bare NaN fails the test."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
 
 
 def write_basis(data, k):
@@ -110,7 +120,7 @@ class TestGen:
 
     def test_split_index_lists_are_disjoint(self, tmp_path):
         out = gen_graph(tmp_path)
-        doc = json.loads((out / "splits.json").read_text())
+        doc = read_json(out / "splits.json")
         assert doc["n"] == 60
         train, val, test = set(doc["train"]), set(doc["val"]), set(doc["test"])
         assert len(train | val | test) == len(train) + len(val) + len(test)
@@ -161,7 +171,7 @@ class TestEig:
                    "--out", str(out)) == 0
         basis = load_basis(out)
         assert (basis.n, basis.k) == (60, 4)
-        sidecar = json.loads(out.with_suffix(".bin.json").read_text())
+        sidecar = read_json(out.with_suffix(".bin.json"))
         assert sidecar["method"] == "lanczos-topk"
         assert sidecar["mode"] == "sym"
         assert len(sidecar["eigenvalues"]) == 4
@@ -174,7 +184,7 @@ class TestEig:
         out = tmp_path / "dense.bin"
         assert run("eig", "--graph", str(data), "--k", "5", "--dense",
                    "--out", str(out)) == 0
-        sidecar = json.loads(out.with_suffix(".bin.json").read_text())
+        sidecar = read_json(out.with_suffix(".bin.json"))
         assert sidecar["method"] == "dense-topk"
         assert sidecar["matvecs"] is None and sidecar["restarts"] is None
         assert load_basis(out).k == 5
@@ -271,14 +281,14 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         assert run("analyze", "--check", "all", "--n", "30",
                    "--l-max", "80", "--out", str(out)) == 0
-        payload = json.loads(out.read_text())
+        payload = read_json(out)
         assert len(payload["checks"]) == 3
         assert all(c["verdict"] for c in payload["checks"])
 
     def test_out_gets_the_json_and_stdout_the_summary(self, tmp_path, capsys):
         out = tmp_path / "f"
         assert run("analyze", "--check", "principal-limit", "--n", "30", "--out", str(out)) == 0
-        assert [c["claim"] for c in json.loads(out.read_text())["checks"]] == ["principal-limit"]
+        assert [c["claim"] for c in read_json(out)["checks"]] == ["principal-limit"]
         assert capsys.readouterr().out.startswith("principal-limit: pass")
 
     def test_insufficient_depth_fails_verification(self, capsys):
@@ -290,6 +300,14 @@ class TestAnalyze:
 
     def test_unknown_check_is_usage_error(self):
         assert run("analyze", "--check", "bogus") == 1
+
+    def test_size_guard_refuses_before_building_the_operator(self, capsys, monkeypatch):
+        def build(*_):
+            raise AssertionError("drew an n x n basis above the dense limit")
+        monkeypatch.setattr(convergence, "_haar_orthogonal", build)
+        assert run("analyze", "--check", "principal-limit", "--n", "2001") == 2
+        assert ("dense decomposition refused for n=2001 above the limit 2000"
+                in capsys.readouterr().err)
 
     # The principal-limit check is defined at n = 1, where the operator is
     # its own limit; every other check needs two eigenvalues.
@@ -324,12 +342,12 @@ class TestTrain:
         code, out = self.run_train(tmp_path, data)
         assert code == 0
         run_dir = self.find_run_dir(out)
-        settings = json.loads((run_dir / "settings.json").read_text())
+        settings = read_json(run_dir / "settings.json")
         assert settings["epochs"] == 25
         assert settings["model"] == "spectral"
-        history = json.loads((run_dir / "history.json").read_text())
+        history = read_json(run_dir / "history.json")
         assert 1 <= history["epochs_run"] <= 25
-        metrics = json.loads((run_dir / "metrics.json").read_text())
+        metrics = read_json(run_dir / "metrics.json")
         assert set(metrics) >= {"accuracy", "delta_sp", "delta_eo"}
         assert "test acc" in capsys.readouterr().out
 
@@ -338,7 +356,7 @@ class TestTrain:
         code, out = self.run_train(tmp_path, data, "--model", "propagation",
                                    "--steps", "5")
         assert code == 0
-        settings = json.loads((self.find_run_dir(out) / "settings.json").read_text())
+        settings = read_json(self.find_run_dir(out) / "settings.json")
         assert settings["model"] == "propagation"
 
     def test_identical_settings_reuse_run_dir(self, tmp_path):
@@ -360,8 +378,7 @@ class TestTrain:
         assert run("train", "--graph", str(data), "--config", str(ini),
                    "--encode-dim", "4", "--layers", "1",
                    "--out", str(out)) == 0
-        settings = json.loads(
-            (self.find_run_dir(out) / "settings.json").read_text())
+        settings = read_json(self.find_run_dir(out) / "settings.json")
         assert settings["epochs"] == 5
 
     def test_explicit_flag_beats_config_file(self, tmp_path):
@@ -374,8 +391,7 @@ class TestTrain:
                    "--epochs", "7", "--hidden", "8",
                    "--encode-dim", "4", "--layers", "1",
                    "--out", str(out)) == 0
-        settings = json.loads(
-            (self.find_run_dir(out) / "settings.json").read_text())
+        settings = read_json(self.find_run_dir(out) / "settings.json")
         assert settings["epochs"] == 7
 
     def test_gen_eig_train_chain_with_default_paths(self, tmp_path, monkeypatch, capsys):
@@ -386,7 +402,7 @@ class TestTrain:
         assert run("train", "--epochs", "5", "--hidden", "8", "--layers", "1",
                    "--encode-dim", "4") == 0
         run_dir = self.find_run_dir(tmp_path / "runs")
-        settings = json.loads((run_dir / "settings.json").read_text())
+        settings = read_json(run_dir / "settings.json")
         assert settings["basis"] == "data/basis.bin"
         assert "test acc" in capsys.readouterr().out
 
@@ -541,7 +557,7 @@ class TestBench:
         assert run("bench", "--n", "40",
                    "--k-values", "1,2", "--seeds", "0", "--epochs", "5",
                    "--out", str(out)) == 0
-        payload = json.loads(out.read_text())
+        payload = read_json(out)
         assert [r["k"] for r in payload["results"]] == [1, 2]
         for row in payload["results"]:
             assert 0.0 <= row["accuracy_mean"] <= 1.0
@@ -553,16 +569,25 @@ class TestBench:
         out = tmp_path / "ksweep.json"
         assert run("bench", "--n", "200", "--k-values", "3",
                    "--seeds", "2", "--epochs", "8", "--out", str(out)) == 0
-        row = json.loads(out.read_text())["results"][0]
+        row = read_json(out)["results"][0]
         data, runs = tmp_path / "data", tmp_path / "runs"
         assert run("gen", "--n", "200", "--seed", "2", "--out", str(data)) == 0
         assert run("eig", "--graph", str(data), "--k", "3", "--seed", "2") == 0
         assert run("train", "--graph", str(data), "--seed", "2",
                    "--epochs", "8", "--out", str(runs)) == 0
         (run_dir,) = runs.iterdir()
-        metrics = json.loads((run_dir / "metrics.json").read_text())
+        metrics = read_json(run_dir / "metrics.json")
         assert row["accuracy_mean"] == metrics["accuracy"]
         assert row["delta_sp_mean"] == metrics["delta_sp"]
+
+    def test_undefined_gap_is_written_as_null(self, tmp_path):
+        # At n=8 every seed's test split is one node, so one sensitive group
+        # is empty and the parity gap undefined (NaN); the report is JSON.
+        out = tmp_path / "ksweep.json"
+        assert run("bench", "--n", "8", "--k-values", "1", "--seeds", "0,1,2",
+                   "--epochs", "2", "--out", str(out)) == 0
+        row = read_json(out)["results"][0]
+        assert row["delta_sp_mean"] is None and row["delta_sp_sd"] is None
 
     @pytest.mark.parametrize("bad", ["", "a,b"])
     def test_malformed_k_values(self, bad):

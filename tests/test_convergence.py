@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from fairspectral import eigen
 from fairspectral.convergence import (
     CLAIM_NAMES,
     ClaimReport,
@@ -207,13 +208,38 @@ class TestDecayRate:
 
 class TestSynthesizeSymmetric:
     def test_spectrum_is_planted_exactly(self):
+        # The verifiers read their eigenpairs from the planted (spectrum, P)
+        # and never decompose S, so the solver is checked against the
+        # construction here.  A j-fold eigenvalue has no unique basis: its
+        # eigenspace is compared by the largest principal angle, whose sine
+        # is the norm of the solver's top-j columns off the planted span.
         rng = np.random.default_rng(10)
-        wanted = np.array([3.0, -2.0, 0.5, 0.1, -0.05])
-        s, p = synthesize_symmetric(wanted, rng)
-        basis = full_dense_eigendecomposition(s)
-        np.testing.assert_allclose(basis.eigenvalues, wanted, atol=1e-9)
-        np.testing.assert_allclose(p.T @ p, np.eye(5), atol=1e-12)
-        np.testing.assert_allclose(s, s.T, atol=0)
+        signs = np.where(np.arange(37) % 2 == 0, 1.0, -1.0)
+        cases = [
+            (np.array([3.0, -2.0, 0.5, 0.1, -0.05]), 1),
+            (np.concatenate([np.ones(3), 0.9 ** np.arange(1, 38) * signs]), 3),
+        ]
+        for wanted, j in cases:
+            n = wanted.shape[0]
+            s, p = synthesize_symmetric(wanted, rng)
+            basis = full_dense_eigendecomposition(s)
+            np.testing.assert_allclose(basis.eigenvalues, wanted, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p.T @ p, np.eye(n), atol=1e-12)
+            np.testing.assert_allclose(s, s.T, atol=0)
+            top, planted = basis.eigenvectors[:, :j], p[:, :j]
+            sine = np.linalg.norm(top - planted @ (planted.T @ top), 2)
+            assert math.asin(min(sine, 1.0)) <= 1e-10
+
+
+class TestPlantedPairs:
+    def test_verifiers_never_reach_the_solver(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a verifier decomposed its operator")
+        monkeypatch.setattr(eigen, "dense_symmetric_eig", refuse)
+        monkeypatch.setattr(eigen, "full_dense_eigendecomposition", refuse)
+        for verify in (verify_principal_limit, verify_degenerate_top_bound,
+                       verify_decay_rate):
+            assert verify().verdict
 
 
 class TestReportSerialization:
