@@ -214,16 +214,9 @@ def _cmd_eig(s: dict) -> int:
     op = normalize(g, s["mode"])
     t0 = time.perf_counter()
     if s["dense"]:
-        check_dense_limit(op.n, s["dense_limit"])  # before to_dense allocates n^2 floats
-        basis = full_dense_eigendecomposition(
-            op.to_dense(), dense_limit=s["dense_limit"]
-        )
-        method = "dense-full"
-        if s["k"] < basis.k:
-            k = s["k"]
-            basis = SpectralBasis(basis.eigenvalues[:k], basis.eigenvectors[:, :k],
-                                  basis.residuals[:k])
-            method = "dense-topk"
+        check_dense_limit(op.n)  # before to_dense allocates n^2 floats
+        basis = full_dense_eigendecomposition(op.to_dense(), s["k"])
+        method = "dense-full" if basis.k == op.n else "dense-topk"
     else:
         basis = top_k_eigenpairs(op, s["k"], tol=s["tol"], seed=s["seed"])
         method = "lanczos-topk"

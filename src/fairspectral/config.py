@@ -81,9 +81,9 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("graph", str, "data", "directory with edges.txt and nodes.csv"),
         Option("k", int, 8, "number of largest-magnitude eigenpairs"),
         Option("mode", str, "sym", "operator mode: sym or raw"),
-        Option("dense", parse_bool, False, "force the full dense route"),
+        Option("dense", parse_bool, False,
+               "use the dense reference solver; refuses graphs above 2000 nodes"),
         Option("tol", float, 1e-10, "iterative residual tolerance"),
-        Option("dense_limit", int, 2000, "dense route refuses n above this"),
         Option("seed", int, 0, "start-vector seed for the iterative route"),
         Option("out", str, "", "output basis file (default: <graph>/basis.bin)"),
     ),
@@ -91,7 +91,10 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("check", str, "all",
                "principal-limit, degenerate-top-bound, nonprincipal-decay, or all"),
         Option("n", int, 100, "synthetic operator size"),
-        Option("l_max", int, 200, "largest convolution depth examined"),
+        Option("l_max", int, 200,
+               "largest convolution depth: principal-limit runs to l_max, "
+               "degenerate-top-bound to min(l_max, 120); nonprincipal-decay "
+               "fits l = 1..30 and ignores it"),
         Option("seed", int, 0, "instance seed"),
         Option("out", str, "", "JSON report file; stdout always gets the summary lines"),
     ),

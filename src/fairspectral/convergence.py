@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .eigen import DENSE_LIMIT_DEFAULT, check_dense_limit, magnitude_order
+from .eigen import check_dense_limit, magnitude_order
 from .metrics import report_json
 
 CLAIM_NAMES = {
@@ -148,11 +148,11 @@ def synthesize_symmetric(
     the eigenvector of eigenvalues[i].  Sampling the basis instead of
     rejection-sampling raw random matrices guarantees any requested
     spectral gap, and the verifiers read their eigenpairs from it.  Refuses
-    n above DENSE_LIMIT_DEFAULT (check_dense_limit) before building P.
+    n above the dense size guard (check_dense_limit) before building P.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     n = eigenvalues.shape[0]
-    check_dense_limit(n, DENSE_LIMIT_DEFAULT)
+    check_dense_limit(n)
     p = _haar_orthogonal(n, rng)
     return (p * eigenvalues) @ p.T, p
 
@@ -305,9 +305,9 @@ def verify_decay_rate(
     against l and compare the slope with log |lambda_i / lambda_1|.
 
     index counts from 0 over the magnitude-ordered spectrum, so index >= 1
-    picks a non-dominant component.  Also reports the normalized
-    contributions c_i(l) = term_i(l) / sum_m term_m(l) as the measured pairs.
-    The verdict holds when the fitted slope is within 1e-3 of the predicted.
+    picks a non-dominant component.  The measured pairs are (l, term_i(l)),
+    the values whose log the slope is fitted to.  The verdict holds when the
+    fitted slope is within 1e-3 of the predicted.
     """
     if index < 1:
         raise ValueError("index must pick a non-dominant component (>= 1)")
@@ -339,22 +339,18 @@ def verify_decay_rate(
     # principal component, so alpha_i * alpha_1 * (proj_i / proj_1)
     # reproduces the term alpha_i^2 (lambda_i/lambda_1)^l from iteration
     # alone; only the two scalars come from the planted pairs.
-    terms_measured = []
-    contributions = []
+    measured = []
     for l, v in _renormalized_iterates(s, h, l_values):
         proj = projection_weights(p, v)
-        term_i = float(alpha[index] * alpha[0] * proj[index] / proj[0])
-        terms_measured.append(term_i)
-        all_terms = alpha * alpha[0] * proj / proj[0]
-        contributions.append((int(l), float(term_i / all_terms.sum())))
+        measured.append((int(l), float(alpha[index] * alpha[0] * proj[index] / proj[0])))
 
     ls = np.asarray(l_values, dtype=np.float64)
-    log_terms = np.log(np.abs(np.asarray(terms_measured)))
+    log_terms = np.log(np.abs(np.asarray([term for _, term in measured])))
     slope, _intercept = np.polyfit(ls, log_terms, 1)
     dev = abs(float(slope) - predicted)
     return ClaimReport(
         claim_id=3,
-        measured=contributions,
+        measured=measured,
         predicted=predicted,
         gap=dev,
         parameters={

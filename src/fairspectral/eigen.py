@@ -37,7 +37,7 @@ import numpy as np
 
 from .sparse import CsrMatrix
 
-DENSE_LIMIT_DEFAULT = 2000
+DENSE_LIMIT = 2000
 
 _FSB_MAGIC = b"FSB1"
 
@@ -519,11 +519,12 @@ def _secular(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.n
 
 
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a dense symmetric matrix: (eigenvalues ascending,
-    eigenvectors as columns).  Householder tridiagonalization, divide and
-    conquer on T (partitioned into leaves up front, the leaves of one size
-    batched through one inverse iteration), a compact-WY back-transform; no
-    library eigensolver.  If a leaf's QL runs out of sweeps (the first such
+    """All eigenpairs of a dense symmetric matrix: (eigenvalues in
+    magnitude_order, eigenvectors as columns).  Householder
+    tridiagonalization, divide and conquer on T (partitioned into leaves up
+    front, the leaves of one size batched through one inverse iteration),
+    one reorder of its pairs, a compact-WY back-transform; no library
+    eigensolver.  If a leaf's QL runs out of sweeps (the first such
     leaf in row order raises), NoConvergenceError carries Q and a diagonal
     (QL's partly reduced one if n <= _BLOCK, else T's), in input coordinates.
     """
@@ -544,42 +545,41 @@ def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except NoConvergenceError as exc:
         diagonal = exc.basis.eigenvalues if n <= _BLOCK else d
         raise NoConvergenceError(str(exc), SpectralBasis(diagonal, _apply_q(z, h, np.eye(n)))) from None
-    order = np.argsort(w, kind="stable")
-    y = np.take(y, order, axis=1)
-    return np.ldexp(w[order], shift), _apply_q(z, h, y)
+    w = np.ldexp(w, shift)
+    order = magnitude_order(w)
+    # np.take keeps y in C order; y[:, order] would return it in F order.
+    return w[order], _apply_q(z, h, np.take(y, order, axis=1))
 
 
-def check_dense_limit(n: int, dense_limit: int) -> None:
+def check_dense_limit(n: int) -> None:
     """Raise DenseLimitError if a dense decomposition of order n exceeds
-    dense_limit.  A caller that must build the dense matrix checks first."""
-    if n > dense_limit:
+    DENSE_LIMIT.  A caller that must build the dense matrix checks first."""
+    if n > DENSE_LIMIT:
         raise DenseLimitError(
-            f"dense decomposition refused for n={n} above the limit {dense_limit}"
+            f"dense decomposition refused for n={n} above the limit {DENSE_LIMIT}"
         )
 
 
-def full_dense_eigendecomposition(
-    a: np.ndarray, dense_limit: int = DENSE_LIMIT_DEFAULT
-) -> SpectralBasis:
-    """All n eigenpairs of a dense symmetric matrix, magnitude-ordered.
+def full_dense_eigendecomposition(a: np.ndarray, k: int | None = None) -> SpectralBasis:
+    """The top k eigenpairs by |lambda| of a dense symmetric matrix, all n
+    if k is None.
 
-    dense_symmetric_eig supplies the pairs (Householder reduction, divide
-    and conquer on the tridiagonal matrix, compact-WY back-transform); this
-    adds the magnitude order, canonical signs and residuals.  Guards against
-    accidental cubic blowups: refuses n above dense_limit (check_dense_limit).
+    dense_symmetric_eig supplies all n pairs, magnitude-ordered (Householder
+    reduction, divide and conquer on the tridiagonal matrix, compact-WY
+    back-transform); this keeps the first k and adds their canonical signs
+    and residuals.  Guards against accidental cubic blowups: refuses n above
+    DENSE_LIMIT (check_dense_limit).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    check_dense_limit(a.shape[0], dense_limit)
+    n = a.shape[0]
+    check_dense_limit(n)
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     w, v = dense_symmetric_eig(a)
-    order = magnitude_order(w)
-    w = w[order]
-    # np.take keeps v in C order; v[:, order] would return it in F order,
-    # and SpectralBasis would copy all n^2 values once more.  Rebinding v
-    # first frees the unordered copy before canonical_sign's temporaries.
-    v = np.take(v, order, axis=1)
-    v = canonical_sign(v)
+    w, v = w[:k], canonical_sign(v[:, :k])
     resid = np.linalg.norm(a @ v - v * w, axis=0)
     return SpectralBasis(w, v, resid)
 
@@ -661,11 +661,6 @@ def top_k_eigenpairs(
     restarts = 0
     scale_floor = 0.0   # running estimate of the spectral scale
 
-    def small_eig(size: int) -> tuple[np.ndarray, np.ndarray]:
-        w, s = dense_symmetric_eig(t[:size, :size])
-        order = magnitude_order(w)
-        return w[order], s[:, order]
-
     def finalize(theta: np.ndarray, s: np.ndarray, size: int) -> SpectralBasis:
         take = min(k, size)
         x = s[:, :take].T @ v[:size]
@@ -714,7 +709,7 @@ def top_k_eigenpairs(
             if matvecs >= max_iter:
                 break
 
-        theta, s = small_eig(j)
+        theta, s = dense_symmetric_eig(t[:j, :j])
         scale_floor = max(scale_floor, float(np.abs(theta).max(initial=0.0)))
         beta_last = t[j, j - 1] if j > 0 else 0.0
         res_est = np.abs(beta_last * s[j - 1, :])

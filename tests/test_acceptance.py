@@ -279,7 +279,7 @@ def test_criterion_09_parity_gap_grows_with_basis_size():
         g = generate_sbm(SbmConfig(seed=seed))
         splits = make_splits(g, seed)
         op = normalize(g, "sym")
-        full = full_dense_eigendecomposition(op.to_dense(), dense_limit=2048)
+        full = full_dense_eigendecomposition(op.to_dense())
         x, y, s = g.features, g.labels, g.sensitive
         tr, va, te = splits.train, splits.val, splits.test
         for k in small_ks + large_ks:
@@ -320,7 +320,7 @@ def test_criterion_10_truncated_route_scales_past_dense():
     g = generate_sbm(SbmConfig(seed=0))
     op = normalize(g, "sym")
     t0 = time.perf_counter()
-    full = full_dense_eigendecomposition(op.to_dense(), dense_limit=2048)
+    full = full_dense_eigendecomposition(op.to_dense())
     t_dense = time.perf_counter() - t0
     assert full.k == 2000
     t0 = time.perf_counter()

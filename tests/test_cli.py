@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fairspectral import convergence, eigen
 from fairspectral.cli import main
-from fairspectral.eigen import SpectralBasis, load_basis, save_basis
+from fairspectral.eigen import DENSE_LIMIT, SpectralBasis, load_basis, save_basis
+from fairspectral.graph import load_graph, normalize
 from fairspectral.sparse import CsrMatrix
 
 
@@ -25,6 +26,15 @@ def gen_graph(tmp_path, name="data", n=60, extra=()):
     code = run("gen", "--n", str(n), "--p-in", "0.2", "--p-out", "0.05",
                "--seed", "1", "--out", str(out), *extra)
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def graph_above_dense_limit(tmp_path_factory):
+    """A gen graph one node above the dense size guard, shared by the tests
+    that expect eig --dense to refuse it."""
+    out = tmp_path_factory.mktemp("above-limit") / "data"
+    assert run("gen", "--n", str(DENSE_LIMIT + 1), "--out", str(out)) == 0
     return out
 
 
@@ -204,6 +214,15 @@ class TestEig:
         a, b = load_basis(full), load_basis(top)
         assert b.eigenvalues.tobytes() == a.eigenvalues[:3].tobytes()
         assert b.eigenvectors.tobytes() == a.eigenvectors[:, :3].tobytes()
+        # --k 3 computes the residuals of its 3 columns only.  The product
+        # of 3 columns may sum in another order than the product of all 40,
+        # so they agree with the first 3 of all 40 to rounding, not bits.
+        g = load_graph(data / "edges.txt", data / "nodes.csv",
+                       sensitive_column="sensitive", label_column="label")
+        a = normalize(g, "sym").to_dense()
+        written = read_json(top.with_suffix(".bin.json"))["max_residual"]
+        assert written == float(eigen.full_dense_eigendecomposition(a, 3).residuals.max())
+        assert abs(written - float(eigen.full_dense_eigendecomposition(a).residuals[:3].max())) <= 1e-15
 
     def test_dense_k_above_n_is_usage_error(self, tmp_path, capsys):
         data = gen_graph(tmp_path, n=40)
@@ -220,22 +239,28 @@ class TestEig:
         np.testing.assert_allclose(load_basis(a).eigenvalues,
                                    load_basis(b).eigenvalues, atol=1e-8)
 
-    def test_dense_size_guard_is_numerical_failure(self, tmp_path, capsys):
-        data = gen_graph(tmp_path)
-        code = run("eig", "--graph", str(data), "--dense",
-                   "--dense-limit", "10", "--out", str(tmp_path / "x.bin"))
+    def test_dense_size_guard_is_numerical_failure(self, tmp_path, capsys,
+                                                   graph_above_dense_limit):
+        data = graph_above_dense_limit
+        code = run("eig", "--graph", str(data), "--dense", "--out", str(tmp_path / "x.bin"))
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        assert ("numerical failure: dense decomposition refused for n=2001 above the limit 2000"
+                in capsys.readouterr().err)
+        # The limit is not an option.
+        with pytest.raises(SystemExit) as excinfo:
+            run("eig", "--graph", str(data), "--dense", "--dense-limit", "3000",
+                "--out", str(tmp_path / "x.bin"))
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --dense-limit" in capsys.readouterr().err
 
-    def test_dense_size_guard_refuses_before_densifying(self, tmp_path, capsys, monkeypatch):
-        data = gen_graph(tmp_path)
-
+    def test_dense_size_guard_refuses_before_densifying(self, tmp_path, capsys, monkeypatch,
+                                                        graph_above_dense_limit):
         def to_dense(self):
             raise AssertionError("densified a graph above the dense limit")
 
         monkeypatch.setattr(CsrMatrix, "to_dense", to_dense)
-        code = run("eig", "--graph", str(data), "--dense",
-                   "--dense-limit", "10", "--out", str(tmp_path / "x.bin"))
+        code = run("eig", "--graph", str(graph_above_dense_limit), "--dense",
+                   "--out", str(tmp_path / "x.bin"))
         assert code == 2
         assert "numerical failure:" in capsys.readouterr().err
 

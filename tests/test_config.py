@@ -12,7 +12,7 @@ from fairspectral.config import (
     resolve_settings,
     run_digest,
 )
-from fairspectral.eigen import DENSE_LIMIT_DEFAULT, full_dense_eigendecomposition, top_k_eigenpairs
+from fairspectral.eigen import DENSE_LIMIT, full_dense_eigendecomposition, top_k_eigenpairs
 from fairspectral.graph import SbmConfig
 from fairspectral.model import init_spectral_params, propagate_features
 from fairspectral.train import TrainConfig
@@ -63,12 +63,16 @@ class TestSchema:
 
 
     def test_eig_defaults_match_solvers(self):
-        by_name = {o.name: o.default for o in COMMAND_OPTIONS["eig"]}
+        options = {o.name: o for o in COMMAND_OPTIONS["eig"]}
         lanczos = inspect.signature(top_k_eigenpairs).parameters
         dense = inspect.signature(full_dense_eigendecomposition).parameters
-        assert by_name["tol"] == lanczos["tol"].default == 1e-10
-        assert by_name["seed"] == lanczos["seed"].default == 0
-        assert by_name["dense_limit"] == dense["dense_limit"].default == DENSE_LIMIT_DEFAULT == 2000
+        assert options["tol"].default == lanczos["tol"].default == 1e-10
+        assert options["seed"].default == lanczos["seed"].default == 0
+        # The dense size guard is a constant, not an option, and --dense
+        # names it.
+        assert DENSE_LIMIT == 2000
+        assert "dense_limit" not in options and "dense_limit" not in dense
+        assert str(DENSE_LIMIT) in options["dense"].help
 
     def test_train_defaults_match_models(self):
         by_name = {o.name: o.default for o in COMMAND_OPTIONS["train"]}

@@ -193,6 +193,14 @@ class TestDecayRate:
         assert report.parameters["fitted_slope"] == pytest.approx(
             report.predicted, abs=1e-3)
 
+    def test_measured_pairs_are_what_the_slope_is_fitted_to(self):
+        report = verify_decay_rate(n=60, seed=3)
+        ls = np.array([l for l, _ in report.measured], dtype=np.float64)
+        terms = np.array([term for _, term in report.measured])
+        assert ls.tolist() == list(range(1, 31))
+        slope = np.polyfit(ls, np.log(np.abs(terms)), 1)[0]
+        assert float(slope) == report.parameters["fitted_slope"]
+
     def test_slope_negative_for_subdominant_component(self):
         report = verify_decay_rate(seed=3)
         assert report.predicted < 0.0

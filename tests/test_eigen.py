@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from eigen_oracles import tridiagonal_eig
 from fairspectral import eigen
 from fairspectral.eigen import (
+    DENSE_LIMIT,
     DenseLimitError,
     NoConvergenceError,
     SpectralBasis,
@@ -134,7 +135,12 @@ class TestDenseRoute:
 
     def test_size_guard(self):
         with pytest.raises(DenseLimitError):
-            full_dense_eigendecomposition(np.eye(21), dense_limit=20)
+            full_dense_eigendecomposition(np.eye(DENSE_LIMIT + 1))
+
+    @pytest.mark.parametrize("k", [0, 21])
+    def test_k_outside_one_to_n_is_refused(self, k):
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 20\], got {k}"):
+            full_dense_eigendecomposition(np.eye(20), k)
 
     def test_eigenvectors_are_c_ordered_without_a_copy(self, monkeypatch):
         # The signed, ordered eigenvectors reach SpectralBasis in C order,
@@ -374,9 +380,10 @@ class TestDenseHardSpectra:
         np.testing.assert_array_equal(w, 0.0)
 
     def test_plus_minus_pairs(self):
+        # Returned in magnitude order, each tied pair positive first.
         a = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0, 3.0]))
         w, _ = self.check(a)
-        np.testing.assert_allclose(np.sort(w), [-3, -2, -1, 1, 2, 3], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, [3, -3, 2, -2, 1, -1], rtol=0, atol=1e-14)
 
     def test_fixed_seed_bytes_repeat(self):
         rng = np.random.default_rng(31)
