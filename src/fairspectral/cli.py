@@ -189,9 +189,9 @@ def _cmd_gen(s: dict) -> int:
     rows = a.row_indices()
     upper = rows < a.col_idx
     # Python ints and floats from tolist() format faster than numpy scalars,
-    # to the same text.
-    lines = [f"{u} {v}" for u, v in zip(rows[upper].tolist(), a.col_idx[upper].tolist())]
-    _write(root / _EDGE_FILE, "\n".join(lines) + ("\n" if lines else ""))
+    # to the same text; one format call writes every "u v" line.
+    ids = np.stack([rows[upper], a.col_idx[upper]], axis=1).ravel().tolist()
+    _write(root / _EDGE_FILE, "%d %d\n" * (len(ids) // 2) % tuple(ids))
 
     d = g.features.shape[1]
     header = ",".join(["sensitive"] + [f"x{i}" for i in range(1, d)] + ["label"])

@@ -159,7 +159,14 @@ class TestGen:
             "nodes.csv": "19127d9fae1505af46ba4a87955cfdb43532e91eec9f59f29988b1c6e15d24a1",
             "splits.json": "45d2dcb611dc19abe72b05a37235ce6ec09b2f42ab07d9fd310754315f9c30b5",
         }),
-    ], ids=["n200-seed0", "default", "n1031-seed3"])
+        # At the generator's thread crossover: its rows are sampled in one
+        # range per usable core.
+        (("--n", "5000", "--seed", "1"), {
+            "edges.txt": "4f50cb5c7539e1c60d08160f512fcf25aab11ca85dc1166746b6804c78f3b3f2",
+            "nodes.csv": "27441cb6fac95dd111d3e43b1061739dbad5972eae06525d0ee05aadddfc3fb8",
+            "splits.json": "897b934a2a66bc71ee048a83ef4167270fad0369e10dca4ca4b0b3c68d914c52",
+        }),
+    ], ids=["n200-seed0", "default", "n1031-seed3", "n5000-seed1"])
     def test_files_are_frozen(self, tmp_path, argv, digests):
         out = tmp_path / "data"
         assert run("gen", *argv, "--out", str(out)) == 0

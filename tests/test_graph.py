@@ -9,6 +9,7 @@ that are computed right here in the test.
 
 import itertools
 import json
+import threading
 import warnings
 from functools import partial
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fairspectral import graph
 from fairspectral.eigen import full_dense_eigendecomposition
 from fairspectral.graph import (
     Graph,
@@ -30,13 +32,16 @@ from fairspectral.graph import (
     _read_table,
     _read_table_bulk,
     _read_table_lines,
+    _MIN_THREADED_N,
     _sample_block_edges,
+    _usable_cores,
     generate_sbm,
     load_graph,
     make_splits,
     normalize,
 )
 from fairspectral.sparse import CsrMatrix, csr_from_dense, csr_from_edges
+from graph_oracles import sample_block_edges
 
 
 def empty_adjacency(n):
@@ -573,6 +578,60 @@ class TestGenerateSbm:
         assert pairs.dtype == np.int64
         np.testing.assert_array_equal(pairs, expected)
         assert skipping.random(4).tobytes() == full.random(4).tobytes()
+
+    # The sampler against the one-row-at-a-time reference, its rows split
+    # into 1, 2 and 3 ranges (all but the first sampled in threads) or, with
+    # ranges=None, as many as its default picks: one per usable core at
+    # n=_MIN_THREADED_N.  The pairs and the next draws must not depend on
+    # the split.  p_out > p_in, which SbmConfig refuses, checks that the
+    # candidates are all draws below the larger probability.  The dense p's
+    # stay below n=_MIN_THREADED_N, where they would hold 4-6 million pairs
+    # in each of the two samplers.
+    @pytest.mark.parametrize("ranges", [None, 1, 2, 3])
+    @pytest.mark.parametrize("n, p_in, p_out", [
+        *((n, *p) for n in (4, 7, 1031)
+          for p in ((SbmConfig().p_in, SbmConfig().p_out), (1.0, 0.0), (0.3, 0.3),
+                    (0.05, 0.5))),
+        (_MIN_THREADED_N, SbmConfig().p_in, SbmConfig().p_out),
+    ])
+    def test_ranges_match_the_row_by_row_reference(self, n, p_in, p_out, ranges):
+        half = n // 2
+        ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        ref.random(3)  # both start past draw 0
+        rng.random(3)
+        expected = sample_block_edges(ref, n, half, p_in, p_out)
+        pairs = _sample_block_edges(rng, n, half, p_in, p_out, ranges=ranges)
+        assert pairs.dtype == np.int64
+        np.testing.assert_array_equal(pairs, expected)
+        assert rng.random(4).tobytes() == ref.random(4).tobytes()
+
+    @pytest.mark.parametrize("n", [_MIN_THREADED_N - 1, _MIN_THREADED_N])
+    def test_threads_start_only_from_the_crossover(self, monkeypatch, n):
+        sample_rows, threads = graph._sample_rows, []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return sample_rows(*args)
+
+        monkeypatch.setattr(graph, "_sample_rows", recording)
+        _sample_block_edges(np.random.default_rng(0), n, n // 2, 0.01, 0.001)
+        ranges = _usable_cores() if n >= _MIN_THREADED_N else 1
+        assert len(threads) == len(set(threads)) == ranges
+        assert threading.get_ident() in threads
+
+    def test_a_failing_range_raises_and_leaves_no_thread(self, monkeypatch):
+        sample_rows = graph._sample_rows
+
+        def second_range_fails(gen, n, lo, *args):
+            if lo > 0:
+                raise RuntimeError("second range failed")
+            return sample_rows(gen, n, lo, *args)
+
+        monkeypatch.setattr(graph, "_sample_rows", second_range_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second range failed"):
+            _sample_block_edges(np.random.default_rng(0), 1031, 515, 0.01, 0.001, ranges=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "kwargs",
