@@ -236,6 +236,7 @@ def _cmd_eig(s: dict) -> int:
                          else float(np.max(basis.residuals))),
         "matvecs": basis.matvecs,
         "restarts": basis.restarts,
+        "reorthogonalized": basis.reorthogonalized,
     }
     _write(_sidecar_path(out), report_json(sidecar, sort_keys=False) + "\n")
     print(f"{method}: {basis.k} pairs of n={basis.n} in {elapsed:.3f}s -> {out}")
@@ -250,6 +251,11 @@ _CHECK_RUNNERS = {
     "nonprincipal-decay": lambda s: verify_decay_rate(n=s["n"], seed=s["seed"]),
 }
 
+# The smallest --n each check is defined at: degenerate-top-bound plants a
+# 2-fold top eigenvalue and needs one below it, and nonprincipal-decay fits
+# the component at index 1.
+_CHECK_MIN_N = {"principal-limit": 1, "degenerate-top-bound": 3, "nonprincipal-decay": 2}
+
 
 def _cmd_analyze(s: dict) -> int:
     if s["check"] == "all":
@@ -260,6 +266,9 @@ def _cmd_analyze(s: dict) -> int:
         raise CliError(
             f"check must be one of {', '.join(_CHECK_RUNNERS)} or all, got {s['check']!r}"
         )
+    for name in names:
+        if s["n"] < _CHECK_MIN_N[name]:
+            raise CliError(f"--n must be at least {_CHECK_MIN_N[name]} for {name}, got {s['n']}")
     reports = []
     for name in names:
         report = _CHECK_RUNNERS[name](s)

@@ -3,7 +3,7 @@
 Two independent routes to the same quantities:
 
 ``top_k_eigenpairs``
-    Lanczos iteration with full reorthogonalization and thick restarts.
+    Lanczos iteration with thick restarts, its basis kept semi-orthogonal.
     Builds a Krylov basis, projects, solves the small problem, keeps the
     best Ritz pairs plus the residual direction, and continues until the
     wanted pairs have residual norm below tolerance.  Intended for large
@@ -51,6 +51,12 @@ _BLOCK = 32
 # _orthogonalize is followed by a second.
 _DGKS = 1.0 / math.sqrt(2.0)
 
+# sqrt(eps): a Lanczos step leaves its vector in place when every component
+# along the window is at most this share of its norm.  A basis kept
+# semi-orthogonal, |v_i . v_j| <= sqrt(eps), gives Ritz values to working
+# accuracy (Simon, Math. Comp. 42, 1984).
+_SEMIORTHOGONAL = math.sqrt(float(np.finfo(np.float64).eps))
+
 
 class EigenError(Exception):
     """Base class for eigensolver failures."""
@@ -79,9 +85,11 @@ class SpectralBasis:
     eigenvalues: shape (K,), sorted by decreasing magnitude, exact-magnitude
     ties positive-first.  eigenvectors: shape (n, K), orthonormal columns in
     canonical sign.  residuals: shape (K,), the two-norms ||S p - lambda p||,
-    or None for bases loaded from disk without their operator.  matvecs and
-    restarts: how hard top_k_eigenpairs worked for the basis (operator
-    applications, thick restarts), or None for bases from elsewhere.
+    or None for bases loaded from disk without their operator.  matvecs,
+    restarts and reorthogonalized: how hard top_k_eigenpairs worked for the
+    basis (operator applications, thick restarts, Lanczos steps that
+    subtracted their components along the window), or None for bases from
+    elsewhere.
     """
 
     eigenvalues: np.ndarray
@@ -89,6 +97,7 @@ class SpectralBasis:
     residuals: np.ndarray | None = None
     matvecs: int | None = None
     restarts: int | None = None
+    reorthogonalized: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", np.ascontiguousarray(self.eigenvalues, dtype=np.float64))
@@ -584,7 +593,8 @@ def full_dense_eigendecomposition(a: np.ndarray, k: int | None = None) -> Spectr
     return SpectralBasis(w, v, resid)
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+def _orthogonalize(w: np.ndarray, basis: np.ndarray,
+                   keep: float = 0.0) -> tuple[np.ndarray, float]:
     """Remove the components of w along the rows of basis; return the
     result and its two-norm.
 
@@ -593,9 +603,17 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]
     orthogonality only when w is nearly inside span(basis), which shows as
     cancellation: a second pass runs when the first leaves less than 1/sqrt(2)
     of w's norm (Daniel, Gragg, Kaufman & Stewart, 1976), and twice is enough.
+
+    keep is the relative size of components left in place: if it is
+    positive and no entry of basis @ w exceeds keep times w's norm, w itself
+    comes back unchanged, with its norm.  The default 0 removes every
+    component.
     """
     norm = float(np.linalg.norm(w))
-    out = w - (basis @ w) @ basis
+    h = basis @ w
+    if keep and np.abs(h).max(initial=0.0) <= keep * norm:
+        return w, norm
+    out = w - h @ basis
     out_norm = float(np.linalg.norm(out))
     if out_norm < norm * _DGKS:
         out = out - (basis @ out) @ basis
@@ -615,7 +633,7 @@ def top_k_eigenpairs(
     op is a CsrMatrix, such as the operator that graph.normalize returns;
     anything else raises TypeError.
 
-    Thick-restart Lanczos with full reorthogonalization.  Each cycle extends
+    Thick-restart Lanczos, its basis kept semi-orthogonal.  Each cycle extends
     the basis to m vectors, solves the projected problem with the dense
     reference solver, and restarts from the leading Ritz vectors plus the
     residual direction.  A Ritz pair counts as converged once its residual
@@ -628,15 +646,23 @@ def top_k_eigenpairs(
 
     The Krylov basis is stored by rows, shape (m+1, n), so every basis
     vector that feeds the operator, the Gram-Schmidt passes and the
-    restart is a contiguous row.  Each new vector is orthogonalized against
-    the whole basis by one classical Gram-Schmidt pass, and by a second
-    only when the first cancels more than the DGKS bound allows
-    (_orthogonalize); a step then costs little more than its matvec.
+    restart is a contiguous row.  After the three-term recurrence each new
+    vector u is projected on the whole basis, h = V u.  Only if some |h_i|
+    exceeds sqrt(eps) ||u|| does the step subtract h^T V, with a second pass
+    when the first cancels more than the DGKS bound allows (_orthogonalize);
+    otherwise u goes on as it is, and the step reads the window once.  Each
+    new vector is thus within sqrt(eps) of orthogonal to the window, which
+    keeps the basis semi-orthogonal and the Ritz values at working accuracy
+    (Simon, Math. Comp. 42, 1984; with thick restart, Wu & Simon, SIMAX 22,
+    2000).  A window that holds the whole space (m == n), the fresh
+    direction after a breakdown and the final Ritz vectors are
+    orthogonalized in full.
 
     max_iter bounds the total number of operator applications; exhausting it
     raises NoConvergenceError carrying the best basis and its residuals.
-    The basis records the operator applications and thick restarts taken
-    (matvecs, restarts).  Deterministic for fixed (op, k, tol, seed).
+    The basis records the operator applications, thick restarts and
+    subtracting steps taken (matvecs, restarts, reorthogonalized).
+    Deterministic for fixed (op, k, tol, seed).
     """
     if not isinstance(op, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(op)!r}")
@@ -648,6 +674,7 @@ def top_k_eigenpairs(
     rng = np.random.default_rng(seed)
 
     m = min(n, max(2 * k + 10, _BLOCK))
+    semi = _SEMIORTHOGONAL if m < n else 0.0
     v = np.zeros((m + 1, n))
     t = np.zeros((m + 1, m + 1))
 
@@ -659,6 +686,7 @@ def top_k_eigenpairs(
     j = 0               # current basis size
     matvecs = 0
     restarts = 0
+    reorthogonalized = 0
     scale_floor = 0.0   # running estimate of the spectral scale
 
     def finalize(theta: np.ndarray, s: np.ndarray, size: int) -> SpectralBasis:
@@ -672,7 +700,8 @@ def top_k_eigenpairs(
         x = canonical_sign(x.T)
         lam = theta[:take].copy()
         resid = np.linalg.norm(op.matmat(x) - x * lam, axis=0)
-        return SpectralBasis(lam, x, resid, matvecs=matvecs, restarts=restarts)
+        return SpectralBasis(lam, x, resid, matvecs=matvecs, restarts=restarts,
+                             reorthogonalized=reorthogonalized)
 
     while True:
         # Extend the basis from j to m vectors.
@@ -687,7 +716,8 @@ def top_k_eigenpairs(
             alpha = float(v[j] @ u)
             t[j, j] = alpha
             u -= alpha * v[j]
-            u, beta = _orthogonalize(u, v[: j + 1])
+            w, beta = _orthogonalize(u, v[: j + 1], semi)
+            reorthogonalized += w is not u  # u itself comes back if left in place
             tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
             if beta <= tiny:
                 # Invariant subspace hit; continue in a fresh random direction
@@ -702,7 +732,7 @@ def top_k_eigenpairs(
                     break
                 v[j] = fresh / nrm
             else:
-                v[j + 1] = u / beta
+                v[j + 1] = w / beta
                 t[j, j + 1] = beta
                 t[j + 1, j] = beta
                 j += 1

@@ -195,6 +195,7 @@ class TestEig:
         assert sidecar["max_residual"] <= 1e-8
         assert sidecar["seconds"] > 0
         assert sidecar["matvecs"] >= 1 and sidecar["restarts"] >= 0
+        assert 0 <= sidecar["reorthogonalized"] <= sidecar["matvecs"]
 
     def test_dense_route_truncates_to_k(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -204,6 +205,7 @@ class TestEig:
         sidecar = read_json(out.with_suffix(".bin.json"))
         assert sidecar["method"] == "dense-topk"
         assert sidecar["matvecs"] is None and sidecar["restarts"] is None
+        assert sidecar["reorthogonalized"] is None
         assert load_basis(out).k == 5
 
     def test_dense_route_decomposes_once(self, tmp_path, monkeypatch):
@@ -272,7 +274,7 @@ class TestEig:
         assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, extra, digest", [
-        (200, (), "4de8ba63596afe5899448a89158d6ba0769001d34b24d3ff51cc91836f803208"),
+        (200, (), "2baf623a691900ae4e7ab28ade60e29b476cb3395d3b24bd25fa52f2d5886d91"),
         (30, ("--dense",), "1c0d2897e3f9b26850b9b899ed5eae58702547e2c014e43b404497317f5b25bb"),
     ], ids=["lanczos-k8", "dense-n30"])
     def test_basis_bytes_are_frozen(self, tmp_path, n, extra, digest):
@@ -280,12 +282,29 @@ class TestEig:
         # k <= 11 among them) take the unblocked Householder steps and one
         # QL + inverse-iteration leaf, so a change to their rounding changes
         # these digests.  The Lanczos one also moves with the window size,
-        # with the Gram-Schmidt passes a step takes and with the sparse
-        # product's summation order.
+        # with the steps that subtract their components along the window
+        # (those past sqrt(eps) of their norm, since n = 200 exceeds the
+        # window of 32), with the Gram-Schmidt passes such a step takes and
+        # with the sparse product's summation order.  Its graph's eigenvalue
+        # 1 is 88-fold, and the two copies returned are one pair inside that
+        # eigenspace.
         data = tmp_path / "data"
         assert run("gen", "--n", str(n), "--seed", "0", "--out", str(data)) == 0
         assert run("eig", "--graph", str(data), "--k", "8", *extra) == 0
         assert hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest() == digest
+
+    def test_zero_threshold_writes_the_fully_orthogonalized_basis(self, tmp_path, monkeypatch):
+        # With nothing left in place, every step subtracts its components
+        # along the window, as before the threshold: the lanczos-k8 basis
+        # then has the bytes it had with full reorthogonalization.
+        monkeypatch.setattr(eigen, "_SEMIORTHOGONAL", 0.0)
+        data = tmp_path / "data"
+        assert run("gen", "--n", "200", "--seed", "0", "--out", str(data)) == 0
+        assert run("eig", "--graph", str(data), "--k", "8") == 0
+        assert (hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest()
+                == "4de8ba63596afe5899448a89158d6ba0769001d34b24d3ff51cc91836f803208")
+        sidecar = read_json(data / "basis.bin.json")
+        assert sidecar["reorthogonalized"] == sidecar["matvecs"] == 128
 
     def test_bad_k_is_usage_error(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -352,6 +371,19 @@ class TestAnalyze:
     def test_too_small_n_is_usage_error(self, capsys, check, n):
         assert run("analyze", "--check", check, "--n", str(n)) == 1
         assert any(ln.startswith("error:") for ln in capsys.readouterr().err.splitlines())
+
+    # n is checked against every selected check's minimum before any runs,
+    # so no check line comes before the error, and the error names --n.
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "2"), "--n must be at least 3 for degenerate-top-bound, got 2"),
+        (("--check", "nonprincipal-decay", "--n", "1"),
+         "--n must be at least 2 for nonprincipal-decay, got 1"),
+    ], ids=["all-n2", "nonprincipal-decay-n1"])
+    def test_n_below_a_checks_minimum_names_the_option(self, capsys, argv, message):
+        assert run("analyze", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
 
 class TestTrain:
@@ -440,7 +472,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("eig_args, train_args, history, metrics", [
         (("--k", "5"), ("--hidden", "8", "--layers", "1", "--encode-dim", "4"),
-         "86c34193343eedb78039d13a967fc9c964e7762567dedde4588f17873d7f6651",
+         "fe0546a067053901b8f83fe7897cc60859043296ced307df9cb1bd4d03b39679",
          "fad3828a7190253b4b143143d6825e2aa366627d044219f507c35eae0240be2b"),
         (("--dense", "--k", "120"), (),
          "1e83ef12ac61690555484c32214c304b314c3614317b97a7f99003d9928e55c3",

@@ -543,7 +543,9 @@ class TestSparseAgainstDense:
         monkeypatch.setattr(CsrMatrix, "matvec", counting)
         op = normalize(generate_sbm(SbmConfig(seed=0)), "sym")
         basis = top_k_eigenpairs(op, 8, seed=0)
-        assert (basis.matvecs, basis.restarts) == (256, 14)
+        # 100 of the 256 steps subtracted their components along the window;
+        # the others were already within sqrt(eps) of orthogonal to it.
+        assert (basis.matvecs, basis.restarts, basis.reorthogonalized) == (256, 14, 100)
         assert len(calls) == basis.matvecs
 
     def test_rejects_anything_but_a_csr_matrix(self):
@@ -578,46 +580,119 @@ class TestOrthogonalize:
         assert np.max(np.abs(b @ out)) <= 1e-14 * np.linalg.norm(out)
         assert norm == np.linalg.norm(out)
 
+    @staticmethod
+    def with_largest_component(rng, b, share):
+        """A vector whose largest component along b is share of its norm."""
+        w = rng.standard_normal(b.shape[1])
+        w -= (w @ b.T) @ b
+        w -= (w @ b.T) @ b
+        w /= np.linalg.norm(w)
+        return w + share * b[3]
+
+    def test_components_within_keep_are_left_in_place(self):
+        rng = np.random.default_rng(32)
+        b = self.basis_rows(rng, 500, 20)
+        w = self.with_largest_component(rng, b, 0.5 * eigen._SEMIORTHOGONAL)
+        assert np.max(np.abs(b @ w)) < eigen._SEMIORTHOGONAL * np.linalg.norm(w)
+        before = w.tobytes()
+        out, norm = _orthogonalize(w, b, eigen._SEMIORTHOGONAL)
+        assert out is w and out.tobytes() == before
+        assert norm == np.linalg.norm(w)
+
+    def test_a_component_past_keep_is_removed(self):
+        rng = np.random.default_rng(33)
+        b = self.basis_rows(rng, 500, 20)
+        w = self.with_largest_component(rng, b, 2.0 * eigen._SEMIORTHOGONAL)
+        assert np.max(np.abs(b @ w)) > eigen._SEMIORTHOGONAL * np.linalg.norm(w)
+        out, norm = _orthogonalize(w, b, eigen._SEMIORTHOGONAL)
+        assert out.tobytes() == (w - (b @ w) @ b).tobytes()
+        assert norm == np.linalg.norm(out)
+
+
+def assert_sound(basis, op, tol=1e-10):
+    """What every hard case must show: residuals within tol, orthonormal
+    columns, and each eigenvalue in the dense spectrum, returned no more
+    times than its dense multiplicity (no ghost copies).  A window that holds
+    the whole space (n <= m) subtracts at every step; a smaller one skips
+    the steps already within sqrt(eps) of orthogonal to it."""
+    assert np.all(basis.residuals <= tol)
+    p = basis.eigenvectors
+    assert np.max(np.abs(p.T @ p - np.eye(basis.k))) <= 1e-12
+    dense = full_dense_eigendecomposition(op.to_dense()).eigenvalues
+    for lam in basis.eigenvalues:
+        copies = int(np.sum(np.abs(dense - lam) <= 1e-9))
+        assert 1 <= np.sum(np.abs(basis.eigenvalues - lam) <= 1e-9) <= copies
+    if basis.n <= max(2 * basis.k + 10, 32):
+        assert basis.reorthogonalized == basis.matvecs
+    else:
+        assert basis.reorthogonalized < basis.matvecs
+
 
 class TestHardSpectra:
+    # Each case runs inside the window (n <= 32, full orthogonalization at
+    # every step) and above it, where the basis is kept only semi-orthogonal.
     def test_multiplicity_above_k_on_disconnected_graph(self):
-        # Six disjoint 5-cycles: eigenvalue 1 of the "sym" operator has
-        # multiplicity 6 > k, and a Krylov space grown from one vector sees
-        # only the three distinct eigenvalues, so the iteration has to go
-        # on from fresh random directions.
-        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(6) for i in range(5)]
-        basis = top_k_eigenpairs(graph_operator(30, edges, "sym"), 4)
-        np.testing.assert_allclose(basis.eigenvalues, 1.0, rtol=0, atol=1e-12)
-        assert np.all(basis.residuals <= 1e-10)
-        p = basis.eigenvectors
-        assert np.max(np.abs(p.T @ p - np.eye(4))) <= 1e-12
-        # The eigenspace of 1 holds the vectors constant on each component.
-        assert np.max(np.ptp(p.reshape(6, 5, 4), axis=1)) <= 1e-10
+        # Disjoint 5-cycles: eigenvalue 1 of the "sym" operator has
+        # multiplicity cycles > k, and a Krylov space grown from one vector
+        # sees only the three distinct eigenvalues, so the iteration has to
+        # go on from fresh random directions.
+        for cycles in (6, 12):
+            edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(cycles) for i in range(5)]
+            op = graph_operator(5 * cycles, edges, "sym")
+            basis = top_k_eigenpairs(op, 4)
+            np.testing.assert_allclose(basis.eigenvalues, 1.0, rtol=0, atol=1e-12)
+            assert_sound(basis, op)
+            # The eigenspace of 1 holds the vectors constant on each component.
+            p = basis.eigenvectors
+            assert np.max(np.ptp(p.reshape(cycles, 5, 4), axis=1)) <= 1e-10
 
     def test_plus_minus_pairs_of_a_bipartite_graph_in_raw_mode(self):
-        # The raw adjacency of the 6-node path has the spectrum
-        # +-2cos(j pi / 7), j = 1..3.  Each tied pair comes positive first,
-        # and the negative partner is the positive eigenvector with the
-        # sign flipped on one side of the bipartition.
-        edges = [(i, i + 1) for i in range(5)]
-        basis = top_k_eigenpairs(graph_operator(6, edges, "raw"), 4)
-        top = 2.0 * np.cos(np.pi / 7.0)
-        second = 2.0 * np.cos(2.0 * np.pi / 7.0)
-        np.testing.assert_allclose(basis.eigenvalues, [top, -top, second, -second],
-                                   rtol=0, atol=1e-12)
-        assert basis.eigenvalues[0] > 0.0 and basis.eigenvalues[2] > 0.0
-        assert np.all(basis.residuals <= 1e-10)
-        flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        p = basis.eigenvectors
-        for i in (0, 2):
-            assert abs(abs(p[:, i + 1] @ (flip * p[:, i])) - 1.0) <= 1e-12
+        # The raw adjacency of the n-node path has the spectrum
+        # +-2cos(j pi / (n + 1)).  Each tied pair comes positive first, and
+        # the negative partner is the positive eigenvector with the sign
+        # flipped on one side of the bipartition.
+        for n in (6, 40):
+            op = graph_operator(n, [(i, i + 1) for i in range(n - 1)], "raw")
+            basis = top_k_eigenpairs(op, 4)
+            top = 2.0 * np.cos(np.pi / (n + 1))
+            second = 2.0 * np.cos(2.0 * np.pi / (n + 1))
+            np.testing.assert_allclose(basis.eigenvalues, [top, -top, second, -second],
+                                       rtol=0, atol=1e-12)
+            assert basis.eigenvalues[0] > 0.0 and basis.eigenvalues[2] > 0.0
+            assert_sound(basis, op)
+            flip = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            p = basis.eigenvectors
+            for i in (0, 2):
+                assert abs(abs(p[:, i + 1] @ (flip * p[:, i])) - 1.0) <= 1e-12
 
     def test_edgeless_graph_in_raw_mode_is_the_zero_operator(self):
-        basis = top_k_eigenpairs(graph_operator(7, [], "raw"), 3)
-        np.testing.assert_array_equal(basis.eigenvalues, 0.0)
-        np.testing.assert_array_equal(basis.residuals, 0.0)
-        p = basis.eigenvectors
-        assert np.max(np.abs(p.T @ p - np.eye(3))) <= 1e-12
+        for n in (7, 40):
+            op = graph_operator(n, [], "raw")
+            basis = top_k_eigenpairs(op, 3)
+            np.testing.assert_array_equal(basis.eigenvalues, 0.0)
+            np.testing.assert_array_equal(basis.residuals, 0.0)
+            assert_sound(basis, op)
+
+    @pytest.mark.parametrize("cliques, size", [(3, 4), (8, 5)])
+    def test_cliques_joined_to_one_hub(self, cliques, size):
+        # One node of each clique joins the hub, so the graph is connected,
+        # and swapping two cliques is a symmetry: the clique-difference
+        # vectors share one eigenvalue (cliques - 1)-fold, just below the
+        # Perron value 1 of the "sym" operator.
+        n = cliques * size + 1
+        edges = [(c * size + i, c * size + j)
+                 for c in range(cliques) for i in range(size) for j in range(i + 1, size)]
+        edges += [(c * size, n - 1) for c in range(cliques)]
+        op = graph_operator(n, edges, "sym")
+        basis = top_k_eigenpairs(op, 3)
+        assert_sound(basis, op)
+        dense = full_dense_eigendecomposition(op.to_dense())
+        many = np.abs(dense.eigenvalues - dense.eigenvalues[1]) <= 1e-9
+        assert many.sum() == cliques - 1
+        # The returned copies lie in the dense route's eigenspace.
+        q, x = dense.eigenvectors[:, many], basis.eigenvectors[:, 1:]
+        np.testing.assert_allclose(basis.eigenvalues[1:], dense.eigenvalues[1], rtol=0, atol=1e-12)
+        assert np.max(np.linalg.norm(x - q @ (q.T @ x), axis=0)) <= 1e-10
 
     def test_k_equals_n_on_a_small_graph(self):
         # Two triangles joined by one edge.  Swapping the two outer nodes of
