@@ -18,8 +18,8 @@ Two independent routes to the same quantities:
     equation), and a compact-WY back-transform that applies Q without
     forming it.
     Quadratic storage, cubic time, all n pairs.  Serves as the reference
-    the sparse route is checked against, and as the small-problem solver
-    inside the Lanczos restarts.
+    the sparse route is checked against; its tridiagonal solver and its
+    reduction also solve and restart the Lanczos projected problems.
 
 Both routes order eigenpairs by decreasing |lambda|, breaking exact-magnitude
 ties toward the positive eigenvalue, and canonicalize eigenvector signs so
@@ -527,6 +527,19 @@ def _secular(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.n
     return d[origin] + tau, u
 
 
+def _ordered_tridiagonal_eig(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the tridiagonal (d, e[1:]), e[0] == 0, in magnitude_order:
+    _tridiagonal_eig, with T scaled above one leaf by a power of two to max
+    |entry| in [1/2, 1), which the deflation tolerance assumes; the scaling
+    is exact."""
+    shift = int(np.frexp(max(np.abs(d).max(), np.abs(e).max()))[1]) if d.shape[0] > _BLOCK else 0
+    w, y = _tridiagonal_eig(np.ldexp(d, -shift), np.ldexp(e, -shift))
+    w = np.ldexp(w, shift)
+    order = magnitude_order(w)
+    # np.take keeps y in C order; y[:, order] would return it in F order.
+    return w[order], np.take(y, order, axis=1)
+
+
 def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a dense symmetric matrix: (eigenvalues in
     magnitude_order, eigenvectors as columns).  Householder
@@ -546,18 +559,12 @@ def dense_symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return a[0].copy(), np.ones((1, 1))
     d, e, z, h = _tridiagonalize(a)
-    # Above one leaf, T is scaled by a power of two to max |entry| in [1/2, 1),
-    # which the deflation tolerance assumes; the scaling is exact.
-    shift = int(np.frexp(max(np.abs(d).max(), np.abs(e).max()))[1]) if n > _BLOCK else 0
     try:
-        w, y = _tridiagonal_eig(np.ldexp(d, -shift), np.ldexp(e, -shift))
+        w, y = _ordered_tridiagonal_eig(d, e)
     except NoConvergenceError as exc:
         diagonal = exc.basis.eigenvalues if n <= _BLOCK else d
         raise NoConvergenceError(str(exc), SpectralBasis(diagonal, _apply_q(z, h, np.eye(n)))) from None
-    w = np.ldexp(w, shift)
-    order = magnitude_order(w)
-    # np.take keeps y in C order; y[:, order] would return it in F order.
-    return w[order], _apply_q(z, h, np.take(y, order, axis=1))
+    return w, _apply_q(z, h, y)
 
 
 def check_dense_limit(n: int) -> None:
@@ -621,6 +628,13 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray,
     return out, out_norm
 
 
+def _window(n: int, k: int) -> int:
+    """Vectors in the Lanczos window for the top k pairs of an order-n
+    operator.  Each restart costs one tridiagonal solve of this order, so a
+    wider window takes fewer restarts."""
+    return min(n, max(2 * k + 10, 48))
+
+
 def top_k_eigenpairs(
     op: CsrMatrix,
     k: int,
@@ -634,15 +648,20 @@ def top_k_eigenpairs(
     anything else raises TypeError.
 
     Thick-restart Lanczos, its basis kept semi-orthogonal.  Each cycle extends
-    the basis to m vectors, solves the projected problem with the dense
-    reference solver, and restarts from the leading Ritz vectors plus the
-    residual direction.  A Ritz pair counts as converged once its residual
-    estimate drops below tol times max(|theta|, spectral scale floor).
+    the basis to m = _window(n, k) vectors, solves the projected tridiagonal
+    matrix T with the dense reference's tridiagonal solver, and restarts from
+    the leading Ritz vectors plus the residual direction.  A Ritz pair counts
+    as converged once its residual estimate drops below tol times
+    max(|theta|, 1e-3 min(1, spectral scale)).
 
-    The window is m = max(2k + 10, _BLOCK) vectors (at most n).  _BLOCK is
-    the dense solver's leaf size, so for k <= 11 every projected problem is
-    one QL + inverse-iteration leaf; a wider window takes fewer restarts but
-    pays for the divide-and-conquer merges on every cycle.
+    The restart keeps T tridiagonal, as the Krylov-Schur decomposition
+    reduced back to Lanczos form (Stewart, SIMAX 23, 2001): the kept Ritz
+    values and their couplings to the residual direction form an arrowhead,
+    which _tridiagonalize reduces.  Its reflectors act only on the Ritz
+    coordinates, so its Q rotates the kept Ritz vectors inside the one GEMM
+    that forms them and leaves the residual direction in place; the
+    reduction's d and e continue T, and every step is the plain three-term
+    recurrence.
 
     The Krylov basis is stored by rows, shape (m+1, n), so every basis
     vector that feeds the operator, the Gram-Schmidt passes and the
@@ -656,13 +675,16 @@ def top_k_eigenpairs(
     (Simon, Math. Comp. 42, 1984; with thick restart, Wu & Simon, SIMAX 22,
     2000).  A window that holds the whole space (m == n), the fresh
     direction after a breakdown and the final Ritz vectors are
-    orthogonalized in full.
+    orthogonalized in full.  Where a Krylov space runs out, as in a graph of
+    many components, beta can fall to 1e-12 and the components left in place
+    spoil the span: if the true residuals miss the convergence bound, the
+    solve runs again from the same start, orthogonalized in full.
 
     max_iter bounds the total number of operator applications; exhausting it
     raises NoConvergenceError carrying the best basis and its residuals.
     The basis records the operator applications, thick restarts and
-    subtracting steps taken (matvecs, restarts, reorthogonalized).
-    Deterministic for fixed (op, k, tol, seed).
+    subtracting steps taken (matvecs, restarts, reorthogonalized), over both
+    solves if there were two.  Deterministic for fixed (op, k, tol, seed).
     """
     if not isinstance(op, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(op)!r}")
@@ -671,23 +693,14 @@ def top_k_eigenpairs(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    rng = np.random.default_rng(seed)
 
-    m = min(n, max(2 * k + 10, _BLOCK))
-    semi = _SEMIORTHOGONAL if m < n else 0.0
+    m = _window(n, k)
     v = np.zeros((m + 1, n))
-    t = np.zeros((m + 1, m + 1))
-
-    v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    v[0] = v0
-
-    locked = 0          # Ritz vectors kept across the last restart
-    j = 0               # current basis size
+    d = np.zeros(m)         # T's diagonal
+    e = np.zeros(m + 1)     # e[i] couples v[i - 1] and v[i]; e[0] stays 0
     matvecs = 0
     restarts = 0
     reorthogonalized = 0
-    scale_floor = 0.0   # running estimate of the spectral scale
 
     def finalize(theta: np.ndarray, s: np.ndarray, size: int) -> SpectralBasis:
         take = min(k, size)
@@ -703,73 +716,78 @@ def top_k_eigenpairs(
         return SpectralBasis(lam, x, resid, matvecs=matvecs, restarts=restarts,
                              reorthogonalized=reorthogonalized)
 
-    while True:
-        # Extend the basis from j to m vectors.
-        while j < m:
-            u = op.matvec(v[j])
-            matvecs += 1
-            if j == locked and locked > 0:
-                # First step after a restart couples to every kept Ritz vector.
-                u -= t[:locked, j] @ v[:locked]
-            elif j > 0:
-                u -= t[j - 1, j] * v[j - 1]
-            alpha = float(v[j] @ u)
-            t[j, j] = alpha
-            u -= alpha * v[j]
-            w, beta = _orthogonalize(u, v[: j + 1], semi)
-            reorthogonalized += w is not u  # u itself comes back if left in place
-            tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
-            if beta <= tiny:
-                # Invariant subspace hit; continue in a fresh random direction
-                # decoupled from the current block.
-                t[j, j + 1] = 0.0
-                t[j + 1, j] = 0.0
-                fresh = rng.standard_normal(n)
-                fresh, nrm = _orthogonalize(fresh, v[: j + 1])
-                j += 1
-                if nrm <= np.sqrt(np.finfo(np.float64).eps):
-                    # The basis already spans the whole space.
+    for semi in (_SEMIORTHOGONAL, 0.0) if m < n else (0.0,):
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n)
+        v[0] = v0 / np.linalg.norm(v0)
+        j = 0               # current basis size
+        scale_floor = 0.0   # running estimate of the spectral scale
+        while True:
+            # Extend the basis from j to m vectors.
+            while j < m:
+                u = op.matvec(v[j])
+                matvecs += 1
+                if j > 0:
+                    u -= e[j] * v[j - 1]
+                alpha = float(v[j] @ u)
+                d[j] = alpha
+                u -= alpha * v[j]
+                w, beta = _orthogonalize(u, v[: j + 1], semi)
+                reorthogonalized += w is not u  # u itself comes back if left in place
+                tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
+                if beta <= tiny:
+                    # Invariant subspace hit; continue in a fresh random direction
+                    # decoupled from the current block.
+                    e[j + 1] = 0.0
+                    fresh = rng.standard_normal(n)
+                    fresh, nrm = _orthogonalize(fresh, v[: j + 1])
+                    j += 1
+                    if nrm <= np.sqrt(np.finfo(np.float64).eps):
+                        # The basis already spans the whole space.
+                        break
+                    v[j] = fresh / nrm
+                else:
+                    v[j + 1] = w / beta
+                    e[j + 1] = beta
+                    j += 1
+                if matvecs >= max_iter:
                     break
-                v[j] = fresh / nrm
-            else:
-                v[j + 1] = w / beta
-                t[j, j + 1] = beta
-                t[j + 1, j] = beta
-                j += 1
+
+            theta, s = _ordered_tridiagonal_eig(d[:j], e[:j])
+            scale_floor = max(scale_floor, float(np.abs(theta).max(initial=0.0)))
+            res_est = np.abs(e[j] * s[j - 1, :])
+            floor = 1e-3 * (min(1.0, scale_floor) if scale_floor > 0.0 else 1.0)
+            wanted = min(k, j)
+            converged = res_est[:wanted] <= tol * np.maximum(np.abs(theta[:wanted]), floor)
+
+            if (wanted == k and bool(np.all(converged))) or j >= n:
+                basis = finalize(theta, s, j)
+                bound = tol * np.maximum(np.abs(basis.eigenvalues), floor)
+                if not semi or bool(np.all(basis.residuals <= bound)):
+                    return basis
+                break  # solve again with full orthogonalization
             if matvecs >= max_iter:
-                break
+                basis = finalize(theta, s, j)
+                raise NoConvergenceError(
+                    f"no convergence after {matvecs} operator applications; "
+                    f"best residuals {basis.residuals}",
+                    basis,
+                )
 
-        theta, s = dense_symmetric_eig(t[:j, :j])
-        scale_floor = max(scale_floor, float(np.abs(theta).max(initial=0.0)))
-        beta_last = t[j, j - 1] if j > 0 else 0.0
-        res_est = np.abs(beta_last * s[j - 1, :])
-        floor = min(1.0, scale_floor) if scale_floor > 0.0 else 1.0
-        wanted = min(k, j)
-        converged = res_est[:wanted] <= tol * np.maximum(np.abs(theta[:wanted]), floor * 1e-3)
-
-        if (wanted == k and bool(np.all(converged))) or j >= n:
-            return finalize(theta, s, j)
-        if matvecs >= max_iter:
-            basis = finalize(theta, s, j)
-            raise NoConvergenceError(
-                f"no convergence after {matvecs} operator applications; "
-                f"best residuals {basis.residuals}",
-                basis,
-            )
-
-        # Thick restart: keep the leading Ritz vectors, append the residual
-        # direction, and rebuild the projected matrix as diagonal + arrow.
-        keep = min(j - 1, max(k + min(k, 10), k + 2))
-        v[:keep] = s[:, :keep].T @ v[:j]
-        v[keep] = v[j]
-        t[: m + 1, : m + 1] = 0.0
-        t[np.arange(keep), np.arange(keep)] = theta[:keep]
-        coup = beta_last * s[j - 1, :keep]
-        t[keep, :keep] = coup
-        t[:keep, keep] = coup
-        locked = keep
-        j = keep
-        restarts += 1
+            # Thick restart: the kept Ritz vectors rotate by the Q that takes
+            # the arrowhead [[diag theta, c], [c^T, 0]] to tridiagonal form;
+            # Q fixes the last coordinate, the residual direction.
+            keep = min(j - 1, max(k + min(k, 10), k + 2))
+            arrow = np.diag(np.append(theta[:keep], 0.0))
+            arrow[keep, :keep] = arrow[:keep, keep] = e[j] * s[j - 1, :keep]
+            dk, ek, z, h = _tridiagonalize(arrow)
+            q = _apply_q(z, h, np.eye(keep + 1))[:keep, :keep]
+            v[:keep] = (s[:, :keep] @ q).T @ v[:j]
+            v[keep] = v[j]
+            d[:keep] = dk[:keep]
+            e[1 : keep + 1] = ek[1:]
+            j = keep
+            restarts += 1
 
 
 def save_basis(basis: SpectralBasis, path) -> None:

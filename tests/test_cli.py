@@ -274,20 +274,20 @@ class TestEig:
         assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, extra, digest", [
-        (200, (), "2baf623a691900ae4e7ab28ade60e29b476cb3395d3b24bd25fa52f2d5886d91"),
+        (200, (), "c7dca63e807a45c6da52392bcc70ccae831fb4f4b2317e0cacd4291c548c869e"),
         (30, ("--dense",), "1c0d2897e3f9b26850b9b899ed5eae58702547e2c014e43b404497317f5b25bb"),
     ], ids=["lanczos-k8", "dense-n30"])
     def test_basis_bytes_are_frozen(self, tmp_path, n, extra, digest):
-        # Dense problems of order <= 32 (Lanczos's projected problems for
-        # k <= 11 among them) take the unblocked Householder steps and one
-        # QL + inverse-iteration leaf, so a change to their rounding changes
-        # these digests.  The Lanczos one also moves with the window size,
-        # with the steps that subtract their components along the window
-        # (those past sqrt(eps) of their norm, since n = 200 exceeds the
-        # window of 32), with the Gram-Schmidt passes such a step takes and
-        # with the sparse product's summation order.  Its graph's eigenvalue
-        # 1 is 88-fold, and the two copies returned are one pair inside that
-        # eigenspace.
+        # Dense problems of order <= 32 take the unblocked Householder steps
+        # and one QL + inverse-iteration leaf, so a change to their rounding
+        # changes the dense digest.  The Lanczos one moves with the window
+        # size, with the tridiagonal solver (above 32 rows, divide and
+        # conquer), with the restart's reduction of the arrowhead, with the
+        # Gram-Schmidt passes and with the sparse product's summation order.
+        # Its graph has many components: the semi-orthogonal solve misses
+        # the convergence bound, so these are the bytes of the second solve,
+        # orthogonalized in full.  Its eigenvalue 1 is 88-fold, and the
+        # three copies returned lie inside that eigenspace.
         data = tmp_path / "data"
         assert run("gen", "--n", str(n), "--seed", "0", "--out", str(data)) == 0
         assert run("eig", "--graph", str(data), "--k", "8", *extra) == 0
@@ -295,16 +295,21 @@ class TestEig:
 
     def test_zero_threshold_writes_the_fully_orthogonalized_basis(self, tmp_path, monkeypatch):
         # With nothing left in place, every step subtracts its components
-        # along the window, as before the threshold: the lanczos-k8 basis
-        # then has the bytes it had with full reorthogonalization.
-        monkeypatch.setattr(eigen, "_SEMIORTHOGONAL", 0.0)
+        # along the window, in one solve.  The lanczos-k8 graph's
+        # semi-orthogonal solve misses the convergence bound and is redone
+        # this way, so both write the same bytes; the default counts both
+        # solves (176 + 176 matvecs, 30 + 176 subtracting steps).
         data = tmp_path / "data"
         assert run("gen", "--n", "200", "--seed", "0", "--out", str(data)) == 0
         assert run("eig", "--graph", str(data), "--k", "8") == 0
+        both = read_json(data / "basis.bin.json")
+        monkeypatch.setattr(eigen, "_SEMIORTHOGONAL", 0.0)
+        assert run("eig", "--graph", str(data), "--k", "8") == 0
         assert (hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest()
-                == "4de8ba63596afe5899448a89158d6ba0769001d34b24d3ff51cc91836f803208")
+                == "c7dca63e807a45c6da52392bcc70ccae831fb4f4b2317e0cacd4291c548c869e")
         sidecar = read_json(data / "basis.bin.json")
-        assert sidecar["reorthogonalized"] == sidecar["matvecs"] == 128
+        assert sidecar["reorthogonalized"] == sidecar["matvecs"] == 176
+        assert (both["matvecs"], both["restarts"], both["reorthogonalized"]) == (352, 8, 206)
 
     def test_bad_k_is_usage_error(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -472,7 +477,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("eig_args, train_args, history, metrics", [
         (("--k", "5"), ("--hidden", "8", "--layers", "1", "--encode-dim", "4"),
-         "fe0546a067053901b8f83fe7897cc60859043296ced307df9cb1bd4d03b39679",
+         "3456e1f1e37da2cf51cd233766151aee39001dcba595d26171bd523e55097516",
          "fad3828a7190253b4b143143d6825e2aa366627d044219f507c35eae0240be2b"),
         (("--dense", "--k", "120"), (),
          "1e83ef12ac61690555484c32214c304b314c3614317b97a7f99003d9928e55c3",
