@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``gen``: sample a synthetic two-block graph and write it as plain files.
+* ``gen``: sample a synthetic two-block graph and write it as plain files,
+  then ``graph.bin``, a binary twin of the graph's text (_load_graph_dir).
 * ``eig``: compute a truncated eigenbasis of a graph operator, with timing,
   and write it with a JSON sidecar.
 * ``analyze``: run the numerical verification suite for the convergence
@@ -70,8 +71,11 @@ from .graph import (
     SplitMasks,
     generate_sbm,
     load_graph,
+    load_twin,
     make_splits,
     normalize,
+    save_twin,
+    text_digest,
 )
 from .metrics import FairnessReport, evaluate, report_json
 from .model import (
@@ -92,6 +96,7 @@ _EDGE_FILE = "edges.txt"
 _NODE_FILE = "nodes.csv"
 _SPLIT_FILE = "splits.json"
 _BASIS_FILE = "basis.bin"
+_TWIN_FILE = "graph.bin"
 
 
 class CliError(Exception):
@@ -133,14 +138,21 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _load_graph_dir(path: str) -> Graph:
+def _load_graph_dir(path: str) -> tuple[Graph, bytes]:
+    """The graph in directory path and the text_digest of its text files.
+    gen's twin of the text is read in their place only while it carries
+    their digest and passes the graph checks; else the text is parsed."""
     root = Path(path)
     edges = root / _EDGE_FILE
     nodes = root / _NODE_FILE
     for p in (edges, nodes):
         if not p.is_file():
             raise CliError(f"missing graph file: {p}")
-    return load_graph(edges, nodes, sensitive_column="sensitive", label_column="label")
+    digest = text_digest(edges.read_bytes(), nodes.read_bytes())
+    g = load_twin(root / _TWIN_FILE, digest)
+    if g is None:
+        g = load_graph(edges, nodes, sensitive_column="sensitive", label_column="label")
+    return g, digest
 
 
 def _basis_path(s: dict, key: str) -> Path:
@@ -152,9 +164,9 @@ def _sidecar_path(basis_path: Path) -> Path:
     return basis_path.with_suffix(basis_path.suffix + ".json")
 
 
-def _read_basis(path: Path, g: Graph, mode: str) -> tuple[SpectralBasis, bytes]:
-    """The basis eig wrote to path for g's operator in mode, and the bytes
-    of the file."""
+def _read_basis(path: Path, g: Graph, digest: bytes, mode: str) -> tuple[SpectralBasis, bytes]:
+    """The basis eig wrote to path for the operator in mode of g, whose text
+    has digest, and the bytes of the file."""
     if not path.is_file():
         raise CliError(f"missing basis file: {path} (eig writes it)")
     basis = load_basis(path)
@@ -171,6 +183,9 @@ def _read_basis(path: Path, g: Graph, mode: str) -> tuple[SpectralBasis, bytes]:
         raise CliError(f"basis sidecar {sidecar} is not a JSON object")
     if meta.get("mode") != mode:
         raise CliError(f"basis sidecar {sidecar} has mode {meta.get('mode')!r}, not {mode!r}")
+    if meta.get("graph") != digest.hex():
+        raise CliError(f"basis sidecar {sidecar} names graph {meta.get('graph')!r}, "
+                       f"not this graph's {digest.hex()!r}: run eig again")
     return basis, path.read_bytes()
 
 
@@ -191,7 +206,7 @@ def _cmd_gen(s: dict) -> int:
     # Python ints and floats from tolist() format faster than numpy scalars,
     # to the same text; one format call writes every "u v" line.
     ids = np.stack([rows[upper], a.col_idx[upper]], axis=1).ravel().tolist()
-    _write(root / _EDGE_FILE, "%d %d\n" * (len(ids) // 2) % tuple(ids))
+    edge_text = ("%d %d\n" * (len(ids) // 2) % tuple(ids)).encode()
 
     d = g.features.shape[1]
     header = ",".join(["sensitive"] + [f"x{i}" for i in range(1, d)] + ["label"])
@@ -200,15 +215,19 @@ def _cmd_gen(s: dict) -> int:
         for sens, noise, label in zip(g.sensitive.tolist(), g.features[:, 1:].tolist(),
                                       g.labels.tolist())
     ]
-    _write(root / _NODE_FILE, "\n".join([header] + body) + "\n")
+    node_text = ("\n".join([header] + body) + "\n").encode()
+    (root / _EDGE_FILE).write_bytes(edge_text)
+    (root / _NODE_FILE).write_bytes(node_text)
     _write(root / _SPLIT_FILE, splits.to_json() + "\n")
+    # Last, so that a gen cut short leaves a twin that is stale or absent.
+    save_twin(g, root / _TWIN_FILE, text_digest(edge_text, node_text))
 
     print(f"wrote {g.n} nodes, {g.edge_count // 2} edges to {root}")
     return EXIT_OK
 
 
 def _cmd_eig(s: dict) -> int:
-    g = _load_graph_dir(s["graph"])
+    g, digest = _load_graph_dir(s["graph"])
     if not 1 <= s["k"] <= g.n:
         raise CliError(f"k must be in [1, {g.n}], got {s['k']}")
     op = normalize(g, s["mode"])
@@ -229,6 +248,7 @@ def _cmd_eig(s: dict) -> int:
         "n": basis.n,
         "k": basis.k,
         "mode": s["mode"],
+        "graph": digest.hex(),
         "method": method,
         "seconds": elapsed,
         "eigenvalues": [float(v) for v in basis.eigenvalues],
@@ -308,7 +328,7 @@ def _fit(g: Graph, splits: SplitMasks, s: dict,
 
 
 def _cmd_train(s: dict) -> int:
-    g = _load_graph_dir(s["graph"])
+    g, digest = _load_graph_dir(s["graph"])
     split_path = Path(s["graph"]) / _SPLIT_FILE
     if not split_path.is_file():
         raise CliError(f"missing split file: {split_path}")
@@ -317,7 +337,7 @@ def _cmd_train(s: dict) -> int:
     s = {**s, "basis": str(path)}
     basis, content = None, b""
     if s["model"] == "spectral":
-        basis, content = _read_basis(path, g, s["mode"])
+        basis, content = _read_basis(path, g, digest, s["mode"])
     t0 = time.perf_counter()
     history, report = _fit(g, splits, s, basis)
     elapsed = time.perf_counter() - t0

@@ -9,19 +9,26 @@ to the graph, and travels beside it as SplitMasks.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import struct
 import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .sparse import CsrMatrix, csr_from_edges, is_symmetric
 
 OPERATOR_MODES = ("sym", "raw")
+
+_TWIN_MAGIC = b"FSG1"
+_TWIN_HEADER = struct.Struct("<4s32sQQQ")
+_TWIN_DTYPES = ("<i8", "<i8", "<f8", "<i8", "<i8")  # row_ptr, col_idx, features, sensitive, labels
 
 
 class GraphFormatError(ValueError):
@@ -275,7 +282,8 @@ def _read_edge_pairs(path, n: int) -> np.ndarray:
     ids = _read_edge_ids_bulk(path, n)
     if ids is None:
         ids = _read_edge_ids_lines(path, n)
-    lo, hi = ids.min(axis=1), ids.max(axis=1)
+    # By column: min and max along axis 1 of (m, 2) ids run ten times slower.
+    lo, hi = np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
     # lo * n + hi orders the pairs as (lo, hi) does, so one sort of the
     # keys finds the duplicates (np.unique, even of the keys, is 30x slower).
     key = np.sort((lo * n + hi)[lo != hi])
@@ -326,6 +334,59 @@ def _loadtxt(fh, dtype, **kwargs) -> np.ndarray | None:
             return np.loadtxt(fh, dtype=dtype, ndmin=2, **kwargs)
         except (ValueError, Warning):  # the line reader gives the format's own message
             return None
+
+
+def text_digest(edge_text: bytes, node_text: bytes) -> bytes:
+    """SHA-256 of a graph's edge list and node table, each preceded by its
+    length as a little-endian uint64."""
+    h = hashlib.sha256()
+    for text in (edge_text, node_text):
+        h.update(struct.pack("<Q", len(text)))
+        h.update(text)
+    return h.digest()
+
+
+def save_twin(g: Graph, path, digest: bytes) -> None:
+    """Write g in the FSG1 container, the binary twin of the text files
+    whose text_digest is digest: "FSG1", the digest, little-endian uint64
+    n, d and nnz, then row_ptr, col_idx, the features row by row, sensitive
+    and labels, little-endian as _TWIN_DTYPES lists.  The adjacency's
+    values are not stored: the text format has no weights."""
+    a = g.adjacency
+    if not np.all(a.values == 1.0):
+        raise ValueError("the FSG1 container holds unit-weight adjacencies only")
+    with open(path, "wb") as fh:
+        fh.write(_TWIN_HEADER.pack(_TWIN_MAGIC, digest, g.n, g.features.shape[1], a.nnz))
+        for arr, dtype in zip((a.row_ptr, a.col_idx, g.features, g.sensitive, g.labels),
+                              _TWIN_DTYPES):
+            fh.write(np.asarray(arr, dtype=dtype).data)  # no copy on a little-endian host
+
+
+def load_twin(path, digest: bytes) -> Graph | None:
+    """The graph save_twin wrote to path with digest, built by the CsrMatrix
+    and Graph constructors; None where the file is absent, malformed or
+    carries another digest, or a constructor rejects its arrays."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    if len(blob) < _TWIN_HEADER.size:
+        return None
+    magic, stored, n, d, nnz = _TWIN_HEADER.unpack_from(blob)
+    counts = (n + 1, nnz, n * d, n, n)
+    size = _TWIN_HEADER.size + 8 * sum(counts)
+    if (magic, stored) != (_TWIN_MAGIC, digest) or len(blob) != size:
+        return None
+    offsets = accumulate((8 * c for c in counts), initial=_TWIN_HEADER.size)
+    row_ptr, col_idx, features, sensitive, labels = (
+        np.frombuffer(blob, dtype, count, at)
+        for dtype, count, at in zip(_TWIN_DTYPES, counts, offsets))
+    try:
+        return Graph(CsrMatrix(n, row_ptr, col_idx, np.ones(nnz)),
+                     features.reshape(n, d), sensitive, labels)
+    except ValueError:
+        return None
 
 
 def _pairs_to_adjacency(n: int, pairs: np.ndarray) -> CsrMatrix:

@@ -4,16 +4,17 @@ import hashlib
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairspectral import convergence, eigen
+from fairspectral import cli, convergence, eigen
 from fairspectral.cli import main
 from fairspectral.eigen import DENSE_LIMIT, SpectralBasis, load_basis, save_basis
-from fairspectral.graph import load_graph, normalize
+from fairspectral.graph import load_graph, load_twin, normalize, save_twin, text_digest
 from fairspectral.sparse import CsrMatrix
 
 
@@ -51,6 +52,41 @@ def read_json(path):
 def write_basis(data, k):
     """eig's basis of the graph in data, at the path train reads by default."""
     assert run("eig", "--graph", str(data), "--k", str(k)) == 0
+
+
+def text_graph(data):
+    """The graph parsed from the text files in data."""
+    return load_graph(data / "edges.txt", data / "nodes.csv", "sensitive", "label")
+
+
+def digest_of(data):
+    return text_digest((data / "edges.txt").read_bytes(), (data / "nodes.csv").read_bytes())
+
+
+def assert_same_graph(g, h):
+    """g and h hold the same arrays, bit for bit, in the same dtypes."""
+    assert g.n == h.n
+    for name in ("row_ptr", "col_idx", "values"):
+        x, y = getattr(g.adjacency, name), getattr(h.adjacency, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    for name in ("features", "sensitive", "labels"):
+        x, y = getattr(g, name), getattr(h, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def only_run_dir(out):
+    dirs = [p for p in out.iterdir() if p.is_dir()]
+    assert len(dirs) == 1
+    return dirs[0]
+
+
+@pytest.fixture
+def text_loads(monkeypatch):
+    """The edge list of every graph the CLI parses from text, in order."""
+    calls = []
+    parse = cli.load_graph
+    monkeypatch.setattr(cli, "load_graph", lambda *a, **kw: calls.append(a[0]) or parse(*a, **kw))
+    return calls
 
 
 def alias_node(doc, node, bad):
@@ -101,11 +137,10 @@ class TestParserBasics:
 
 
 class TestGen:
-    def test_writes_three_files(self, tmp_path, capsys):
+    def test_writes_four_files(self, tmp_path, capsys):
         out = gen_graph(tmp_path)
-        assert (out / "edges.txt").is_file()
-        assert (out / "nodes.csv").is_file()
-        assert (out / "splits.json").is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "edges.txt", "graph.bin", "nodes.csv", "splits.json"]
         assert "wrote 60 nodes" in capsys.readouterr().out
 
     def test_node_table_layout(self, tmp_path):
@@ -139,7 +174,7 @@ class TestGen:
     def test_deterministic_given_seed(self, tmp_path):
         a = gen_graph(tmp_path, "a")
         b = gen_graph(tmp_path, "b")
-        for name in ("edges.txt", "nodes.csv", "splits.json"):
+        for name in ("edges.txt", "nodes.csv", "splits.json", "graph.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("argv, digests", [
@@ -147,17 +182,20 @@ class TestGen:
             "edges.txt": "653bf2fd66b5ef5c345f2cf3244c910752782a25e8f6a821a2ef14a501643012",
             "nodes.csv": "230738543289fc1e10a4d71c20ff1e860586882e35d8105a3e529135efbbea6f",
             "splits.json": "e47546ff0fea2eaae67c1806b96b9c906156e5714507b7385c6d692fb5eae5be",
+            "graph.bin": "58df4d2326de18212e9321d587b39224bc461bb440b81dff61c9aab68f187f7e",
         }),
         ((), {
             "edges.txt": "dfd6024737c585233d7c9c0a5e13b5f5abbeb3f87ad7dcb5c1b4c7ff6eee4018",
             "nodes.csv": "8ec02bb15b50ac4a1ecd7e1ec6f861076433a5d97047f5c71badcfd75b02b8be",
             "splits.json": "732258546c2ffccfffac1440e6fcbcf8526953ee5a4c691dcb7db347a9a1eb16",
+            "graph.bin": "db83d7d6d42cdc1b62f05bb331193ad7b9439891157c91b72fc6a84462727a3c",
         }),
         # Odd n and odd half.
         (("--n", "1031", "--seed", "3"), {
             "edges.txt": "f9fb504cd884473070fa7692de5c292da741bd85a7600956bdc480c91d0b07c3",
             "nodes.csv": "19127d9fae1505af46ba4a87955cfdb43532e91eec9f59f29988b1c6e15d24a1",
             "splits.json": "45d2dcb611dc19abe72b05a37235ce6ec09b2f42ab07d9fd310754315f9c30b5",
+            "graph.bin": "b6e25b6b3db8fac984e44a11ce8cd87c815849434f4ed2972f4cfc8a7a6f41f4",
         }),
         # At the generator's thread crossover: its rows are sampled in one
         # range per usable core.
@@ -165,6 +203,7 @@ class TestGen:
             "edges.txt": "4f50cb5c7539e1c60d08160f512fcf25aab11ca85dc1166746b6804c78f3b3f2",
             "nodes.csv": "27441cb6fac95dd111d3e43b1061739dbad5972eae06525d0ee05aadddfc3fb8",
             "splits.json": "897b934a2a66bc71ee048a83ef4167270fad0369e10dca4ca4b0b3c68d914c52",
+            "graph.bin": "df61197fb1bf6e85034295c014ddf47b3ffe48dc0a26946fd613a7f2a7215b88",
         }),
     ], ids=["n200-seed0", "default", "n1031-seed3", "n5000-seed1"])
     def test_files_are_frozen(self, tmp_path, argv, digests):
@@ -180,6 +219,103 @@ class TestGen:
         assert "error:" in capsys.readouterr().err
 
 
+def set_header_field(blob, offset, value):
+    return blob[:offset] + struct.pack("<Q", value) + blob[offset + 8:]
+
+
+class TestGraphTwin:
+    """gen's graph.bin stands in for the text files only while it carries
+    their digest: the graph read from it is the text's bit for bit, and
+    every other twin gives way to the text."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "200", "--seed", "0"), (), ("--n", "1031", "--seed", "3"),
+        ("--n", "5000", "--seed", "1"), ("--n", "300", "--dims", "2"),
+        ("--n", "300", "--p-in", "0", "--p-out", "0"),
+    ], ids=["n200-seed0", "default", "n1031-seed3", "n5000-seed1", "dims2", "edgeless"])
+    def test_twin_holds_the_text_graph(self, tmp_path, argv):
+        data = tmp_path / "data"
+        assert run("gen", *argv, "--out", str(data)) == 0
+        twin = load_twin(data / "graph.bin", digest_of(data))
+        assert twin is not None
+        assert_same_graph(twin, text_graph(data))
+
+    def test_eig_and_train_write_the_same_bytes_without_it(self, tmp_path, text_loads):
+        data, out = gen_graph(tmp_path), tmp_path / "runs"
+
+        def outputs():
+            assert run("eig", "--graph", str(data), "--k", "4") == 0
+            sidecar = read_json(data / "basis.bin.json")
+            del sidecar["seconds"]
+            files = [sidecar, (data / "basis.bin").read_bytes()]
+            for model in ("spectral", "propagation"):
+                assert run("train", "--graph", str(data), "--model", model, "--epochs", "5",
+                           "--hidden", "8", "--layers", "1", "--encode-dim", "4",
+                           "--out", str(out / model)) == 0
+                run_dir = only_run_dir(out / model)
+                files += [(run_dir / name).read_bytes()
+                          for name in ("settings.json", "history.json", "metrics.json")]
+            return files
+
+        with_twin = outputs()
+        assert text_loads == []
+        (data / "graph.bin").unlink()
+        assert outputs() == with_twin
+        assert len(text_loads) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: None,
+        lambda b: b[:-8],
+        lambda b: b + bytes(8),
+        lambda b: b[:20],
+        lambda b: b"FSG0" + b[4:],
+        lambda b: set_header_field(b, 44, struct.unpack_from("<Q", b, 44)[0] + 1),
+        lambda b: b[:-8] + struct.pack("<q", 2),
+    ], ids=["deleted", "truncated", "trailing", "header-cut", "magic", "sizes", "label-rejected"])
+    def test_other_twins_give_way_to_the_text(self, tmp_path, text_loads, edit):
+        # The header is the magic, the 32-byte digest, then n, d and nnz at
+        # offsets 36, 44 and 52; the last 8 bytes are the last node's label.
+        data = gen_graph(tmp_path)
+        twin = data / "graph.bin"
+        blob = edit(twin.read_bytes())
+        if blob is None:
+            twin.unlink()
+        else:
+            twin.write_bytes(blob)
+        g, digest = cli._load_graph_dir(str(data))
+        assert text_loads == [data / "edges.txt"]
+        assert digest == digest_of(data)
+        assert_same_graph(g, text_graph(data))
+        assert run("eig", "--graph", str(data), "--k", "4") == 0
+        assert run("train", "--graph", str(data), "--epochs", "3", "--hidden", "8",
+                   "--layers", "1", "--encode-dim", "4", "--out", str(tmp_path / "runs")) == 0
+
+    def test_stale_twin_gives_way_to_the_edited_text(self, tmp_path, text_loads):
+        data, out = gen_graph(tmp_path), tmp_path / "runs"
+
+        def trained():
+            assert run("train", "--graph", str(data), "--model", "propagation",
+                       "--epochs", "5", "--hidden", "8", "--out", str(out)) == 0
+            return [(only_run_dir(out) / name).read_bytes()
+                    for name in ("history.json", "metrics.json")]
+
+        before = trained()
+        node = read_json(data / "splits.json")["train"][0]
+        lines = (data / "nodes.csv").read_text().splitlines(keepends=True)
+        cells = lines[node + 1].rstrip("\n").split(",")
+        cells[-1] = str(1 - int(cells[-1]))
+        lines[node + 1] = ",".join(cells) + "\n"
+        (data / "nodes.csv").write_text("".join(lines))
+        g, _ = cli._load_graph_dir(str(data))
+        assert g.labels[node] == int(cells[-1])
+        assert_same_graph(g, text_graph(data))
+        stale = trained()
+        (data / "graph.bin").unlink()
+        assert trained() == stale
+        assert stale[0] != before[0]
+        assert len(text_loads) == 3
+
+
 class TestEig:
     def test_iterative_route_writes_basis_and_sidecar(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -191,6 +327,7 @@ class TestEig:
         sidecar = read_json(out.with_suffix(".bin.json"))
         assert sidecar["method"] == "lanczos-topk"
         assert sidecar["mode"] == "sym"
+        assert sidecar["graph"] == digest_of(data).hex()
         assert len(sidecar["eigenvalues"]) == 4
         assert sidecar["max_residual"] <= 1e-8
         assert sidecar["seconds"] > 0
@@ -498,6 +635,21 @@ class TestTrain:
         for name, digest in (("history.json", history), ("metrics.json", metrics)):
             assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, name
 
+    def test_basis_of_another_graph_is_refused(self, tmp_path, capsys):
+        # The two graphs have the same size and mode, so only the sidecar's
+        # graph digest tells them apart, on either load path.
+        data, out = tmp_path / "st", tmp_path / "runs"
+        assert run("gen", "--n", "300", "--seed", "0", "--out", str(data)) == 0
+        assert run("eig", "--graph", str(data), "--k", "4") == 0
+        assert run("gen", "--n", "300", "--seed", "1", "--out", str(data)) == 0
+        for _ in range(2):
+            capsys.readouterr()
+            assert run("train", "--graph", str(data), "--epochs", "3", "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: basis sidecar") and "names graph" in err
+            assert not out.exists()
+            (data / "graph.bin").unlink(missing_ok=True)
+
     def test_different_basis_gets_its_own_run_dir(self, tmp_path):
         data = gen_graph(tmp_path)
         out = tmp_path / "runs"
@@ -670,6 +822,9 @@ EDGE_LINES = ["# ring"] + [f"{i} {(i + 1) % N_NODES}" for i in range(N_NODES)] +
 NODE_HEADER = ["sensitive", "x1", "label"]
 NODE_ROWS = [[str(i % 2), repr(0.25 * i), str((i // 2) % 2)] for i in range(N_NODES)]
 SPLITS = {"n": N_NODES, "train": [0, 1, 2, 3], "val": [4, 5], "test": [6, 7]}
+EDGE_TEXT = "\n".join(EDGE_LINES)
+NODE_TEXT = "\n".join(",".join(r) for r in [NODE_HEADER] + NODE_ROWS) + "\n"
+GRAPH_DIGEST = text_digest(EDGE_TEXT.encode(), NODE_TEXT.encode()).hex()
 
 # Neither int() nor float() parses these: no digits, and no letters of
 # "inf" or "nan".
@@ -755,7 +910,7 @@ def bad_basis_files(draw):
     (basis, an edit of the file's bytes that returns None for no file,
     sidecar text or None for no file, a part of the expected message)."""
     basis = SpectralBasis(np.array([1.0, 0.5]), np.eye(N_NODES)[:, :2])
-    edit, sidecar = (lambda b: b), json.dumps({"mode": "sym"})
+    edit, sidecar = (lambda b: b), json.dumps({"mode": "sym", "graph": GRAPH_DIGEST})
     messages = {
         "no-file": "missing basis file", "magic": "not an FSB1 file",
         "header": "truncated FSB1 header", "payload": "FSB1 payload has",
@@ -764,6 +919,7 @@ def bad_basis_files(draw):
         "no-sidecar": "missing basis sidecar", "sidecar-junk": "basis sidecar",
         "sidecar-not-object": "not a JSON object", "sidecar-no-mode": "has mode None",
         "sidecar-mode": "basis sidecar",
+        "sidecar-no-graph": "names graph None", "sidecar-other-graph": "names graph",
     }
     kind = draw(st.sampled_from(sorted(messages)))
     if kind == "no-file":
@@ -794,34 +950,56 @@ def bad_basis_files(draw):
         sidecar = json.dumps(draw(NOT_JSON_OBJECT))
     elif kind == "sidecar-no-mode":
         sidecar = json.dumps({"n": N_NODES, "k": 2})
+    elif kind == "sidecar-mode":
+        sidecar = json.dumps({"mode": draw(st.one_of(WORD, st.just("raw"), st.none())),
+                              "graph": GRAPH_DIGEST})
+    elif kind == "sidecar-no-graph":
+        sidecar = json.dumps({"mode": "sym"})
     else:
-        sidecar = json.dumps({"mode": draw(st.one_of(WORD, st.just("raw"), st.none()))})
+        other = draw(st.binary(min_size=32, max_size=32).map(bytes.hex))
+        sidecar = json.dumps({"mode": "sym", "graph": draw(
+            st.sampled_from([other, other.upper(), GRAPH_DIGEST[:-1]]))})
     return basis, edit, sidecar, messages[kind]
 
 
 def write_inputs(root, edges=None, nodes=None, splits=None):
     """Write the valid graph into root, with any given file text replacing its part."""
     root.mkdir(exist_ok=True)
-    table = "\n".join(",".join(r) for r in [NODE_HEADER] + NODE_ROWS) + "\n"
-    (root / "edges.txt").write_text("\n".join(EDGE_LINES) if edges is None else edges)
-    (root / "nodes.csv").write_text(table if nodes is None else nodes)
+    (root / "edges.txt").write_text(EDGE_TEXT if edges is None else edges)
+    (root / "nodes.csv").write_text(NODE_TEXT if nodes is None else nodes)
     (root / "splits.json").write_text(json.dumps(SPLITS) if splits is None else splits)
     return root
+
+
+@pytest.fixture(scope="module")
+def valid_twin(tmp_path_factory):
+    """The bytes of graph.bin for the valid graph."""
+    root = write_inputs(tmp_path_factory.mktemp("valid"))
+    save_twin(text_graph(root), root / "graph.bin", bytes.fromhex(GRAPH_DIGEST))
+    return (root / "graph.bin").read_bytes()
 
 
 class TestMalformedInputsExitCleanly:
     """Any malformed edge list, node table, split file, basis file or basis
     sidecar ends in exit 1 and an "error:" line on stderr, never a
-    traceback.  The examples rewrite every file in the same directory, so
+    traceback, and a fresh twin of the valid graph beside it changes no
+    message.  The examples rewrite every file in the same directory, so
     sharing tmp_path is safe."""
 
-    def assert_usage_error(self, capsys, argv):
-        """Returns the error lines."""
+    def assert_usage_error(self, capsys, argv, twin):
+        """Returns the error lines, which must be the same with twin, the
+        valid graph's graph.bin, in the graph directory as without it."""
+        twin_path = Path(argv[argv.index("--graph") + 1]) / "graph.bin"
+        twin_path.write_bytes(twin)
+        errors = self.error_lines(capsys, argv)
+        twin_path.unlink()
+        assert errors and self.error_lines(capsys, argv) == errors
+        return errors
+
+    def error_lines(self, capsys, argv):
         capsys.readouterr()
         assert main(argv) == 1
-        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
-        assert errors
-        return errors
+        return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
 
     def eig_argv(self, root):
         return ["eig", "--graph", str(root), "--k", "2", "--out", str(root / "basis.bin")]
@@ -831,37 +1009,43 @@ class TestMalformedInputsExitCleanly:
                 "--hidden", "4", "--layers", "1", "--encode-dim", "4",
                 "--out", str(root / "runs")]
 
-    def test_valid_inputs_succeed(self, tmp_path):
+    def test_valid_inputs_succeed(self, tmp_path, valid_twin, text_loads):
         root = write_inputs(tmp_path / "g")
+        (root / "graph.bin").write_bytes(valid_twin)
         assert main(self.eig_argv(root)) == 0
         assert main(self.train_argv(root)) == 0
+        assert text_loads == []
+        (root / "graph.bin").unlink()
+        assert main(self.eig_argv(root)) == 0
+        assert main(self.train_argv(root)) == 0
+        assert len(text_loads) == 2
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad_edge_lists())
-    def test_edge_list(self, tmp_path, capsys, edges):
+    def test_edge_list(self, tmp_path, capsys, valid_twin, edges):
         root = write_inputs(tmp_path / "g", edges=edges)
-        self.assert_usage_error(capsys, self.eig_argv(root))
+        self.assert_usage_error(capsys, self.eig_argv(root), valid_twin)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad_node_tables())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_node_table(self, tmp_path, capsys, nodes):
+    def test_node_table(self, tmp_path, capsys, valid_twin, nodes):
         root = write_inputs(tmp_path / "g", nodes=nodes)
-        self.assert_usage_error(capsys, self.eig_argv(root))
+        self.assert_usage_error(capsys, self.eig_argv(root), valid_twin)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad_split_files())
-    def test_split_file(self, tmp_path, capsys, splits):
+    def test_split_file(self, tmp_path, capsys, valid_twin, splits):
         root = write_inputs(tmp_path / "g", splits=splits)
-        self.assert_usage_error(capsys, self.train_argv(root))
+        self.assert_usage_error(capsys, self.train_argv(root), valid_twin)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad_basis_files())
-    def test_basis_file(self, tmp_path, capsys, case):
+    def test_basis_file(self, tmp_path, capsys, valid_twin, case):
         basis, edit, sidecar, message = case
         root = write_inputs(tmp_path / "g")
         path, side = root / "basis.bin", root / "basis.bin.json"
@@ -874,4 +1058,5 @@ class TestMalformedInputsExitCleanly:
         side.unlink(missing_ok=True)
         if sidecar is not None:
             side.write_text(sidecar)
-        assert message in self.assert_usage_error(capsys, self.train_argv(root))[0]
+        assert message in self.assert_usage_error(capsys, self.train_argv(root), valid_twin)[0]
+

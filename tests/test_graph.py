@@ -39,6 +39,8 @@ from fairspectral.graph import (
     load_graph,
     make_splits,
     normalize,
+    save_twin,
+    text_digest,
 )
 from fairspectral.sparse import CsrMatrix, csr_from_dense, csr_from_edges
 from graph_oracles import sample_block_edges
@@ -96,6 +98,20 @@ class TestGraphValidation:
         g = tiny_graph()
         with pytest.raises(ValueError):
             g.labels[0] = 1
+
+
+class TestTwin:
+    """The FSG1 container's own contracts; tests/test_cli.py holds it to
+    the text gen writes."""
+
+    def test_digest_tells_the_files_apart(self):
+        assert text_digest(b"0 1\n", b"x") != text_digest(b"0 1", b"\nx")
+
+    def test_weighted_adjacency_is_refused(self, tmp_path):
+        a = csr_from_dense(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        g = Graph(a, np.zeros((2, 2)), np.array([0, 1]), np.array([1, 0]))
+        with pytest.raises(ValueError, match="unit-weight"):
+            save_twin(g, tmp_path / "graph.bin", text_digest(b"", b""))
 
 
 class TestSplitMasks:
