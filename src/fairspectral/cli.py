@@ -32,6 +32,7 @@ overwrites its own results and nothing else.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -166,10 +167,10 @@ def _sidecar_path(basis_path: Path) -> Path:
 
 def _read_basis(path: Path, g: Graph, digest: bytes, mode: str) -> tuple[SpectralBasis, bytes]:
     """The basis eig wrote to path for the operator in mode of g, whose text
-    has digest, and the bytes of the file."""
+    has digest, and the bytes of the file, which its sidecar must name."""
     if not path.is_file():
         raise CliError(f"missing basis file: {path} (eig writes it)")
-    basis = load_basis(path)
+    basis, content = load_basis(path), path.read_bytes()
     if basis.n != g.n:
         raise CliError(f"basis file {path} has n={basis.n}, the graph has {g.n} nodes")
     sidecar = _sidecar_path(path)
@@ -186,7 +187,10 @@ def _read_basis(path: Path, g: Graph, digest: bytes, mode: str) -> tuple[Spectra
     if meta.get("graph") != digest.hex():
         raise CliError(f"basis sidecar {sidecar} names graph {meta.get('graph')!r}, "
                        f"not this graph's {digest.hex()!r}: run eig again")
-    return basis, path.read_bytes()
+    if meta.get("basis") != hashlib.sha256(content).hexdigest():
+        raise CliError(f"basis sidecar {sidecar} names basis {meta.get('basis')!r}, "
+                       f"not the digest of {path}: run eig again")
+    return basis, content
 
 
 def _cmd_gen(s: dict) -> int:
@@ -249,6 +253,7 @@ def _cmd_eig(s: dict) -> int:
         "k": basis.k,
         "mode": s["mode"],
         "graph": digest.hex(),
+        "basis": hashlib.sha256(out.read_bytes()).hexdigest(),
         "method": method,
         "seconds": elapsed,
         "eigenvalues": [float(v) for v in basis.eigenvalues],

@@ -3,11 +3,14 @@
 Two independent routes to the same quantities:
 
 ``top_k_eigenpairs``
-    Lanczos iteration with thick restarts, its basis kept semi-orthogonal.
-    Builds a Krylov basis, projects, solves the small problem, keeps the
-    best Ritz pairs plus the residual direction, and continues until the
-    wanted pairs have residual norm below tolerance.  Intended for large
-    sparse operators where only a few extremal pairs are needed.
+    Lanczos iteration with thick restarts, its basis kept semi-orthogonal by
+    partial reorthogonalization: Simon's recurrence estimates each new
+    vector's overlaps with the window from the projected matrix alone, and
+    a step orthogonalizes only when an estimate passes sqrt(eps).  Builds a
+    Krylov basis, projects, solves the small problem, keeps the best Ritz
+    pairs plus the residual direction, and continues until the wanted pairs
+    have residual norm below tolerance.  Intended for large sparse operators
+    where only a few extremal pairs are needed.
 
 ``full_dense_eigendecomposition``
     Classical dense path, split as in LAPACK dsyevd: blocked Householder
@@ -51,8 +54,9 @@ _BLOCK = 32
 # _orthogonalize is followed by a second.
 _DGKS = 1.0 / math.sqrt(2.0)
 
-# sqrt(eps): a Lanczos step leaves its vector in place when every component
-# along the window is at most this share of its norm.  A basis kept
+# sqrt(eps): a Lanczos step orthogonalizes its vector against the window
+# when Simon's estimate of some |v_i . v_j| passes this, and the step after
+# it does so too; otherwise the vector goes on as it is.  A basis kept
 # semi-orthogonal, |v_i . v_j| <= sqrt(eps), gives Ritz values to working
 # accuracy (Simon, Math. Comp. 42, 1984).
 _SEMIORTHOGONAL = math.sqrt(float(np.finfo(np.float64).eps))
@@ -88,8 +92,8 @@ class SpectralBasis:
     or None for bases loaded from disk without their operator.  matvecs,
     restarts and reorthogonalized: how hard top_k_eigenpairs worked for the
     basis (operator applications, thick restarts, Lanczos steps that
-    subtracted their components along the window), or None for bases from
-    elsewhere.
+    orthogonalized their vector against the window, flagged by the estimate
+    or forced after a flagged step), or None for bases from elsewhere.
     """
 
     eigenvalues: np.ndarray
@@ -600,8 +604,7 @@ def full_dense_eigendecomposition(a: np.ndarray, k: int | None = None) -> Spectr
     return SpectralBasis(w, v, resid)
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray,
-                   keep: float = 0.0) -> tuple[np.ndarray, float]:
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Remove the components of w along the rows of basis; return the
     result and its two-norm.
 
@@ -610,17 +613,9 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray,
     orthogonality only when w is nearly inside span(basis), which shows as
     cancellation: a second pass runs when the first leaves less than 1/sqrt(2)
     of w's norm (Daniel, Gragg, Kaufman & Stewart, 1976), and twice is enough.
-
-    keep is the relative size of components left in place: if it is
-    positive and no entry of basis @ w exceeds keep times w's norm, w itself
-    comes back unchanged, with its norm.  The default 0 removes every
-    component.
     """
     norm = float(np.linalg.norm(w))
-    h = basis @ w
-    if keep and np.abs(h).max(initial=0.0) <= keep * norm:
-        return w, norm
-    out = w - h @ basis
+    out = w - (basis @ w) @ basis
     out_norm = float(np.linalg.norm(out))
     if out_norm < norm * _DGKS:
         out = out - (basis @ out) @ basis
@@ -665,26 +660,34 @@ def top_k_eigenpairs(
 
     The Krylov basis is stored by rows, shape (m+1, n), so every basis
     vector that feeds the operator, the Gram-Schmidt passes and the
-    restart is a contiguous row.  After the three-term recurrence each new
-    vector u is projected on the whole basis, h = V u.  Only if some |h_i|
-    exceeds sqrt(eps) ||u|| does the step subtract h^T V, with a second pass
-    when the first cancels more than the DGKS bound allows (_orthogonalize);
-    otherwise u goes on as it is, and the step reads the window once.  Each
-    new vector is thus within sqrt(eps) of orthogonal to the window, which
-    keeps the basis semi-orthogonal and the Ritz values at working accuracy
-    (Simon, Math. Comp. 42, 1984; with thick restart, Wu & Simon, SIMAX 22,
-    2000).  A window that holds the whole space (m == n), the fresh
-    direction after a breakdown and the final Ritz vectors are
-    orthogonalized in full.  Where a Krylov space runs out, as in a graph of
-    many components, beta can fall to 1e-12 and the components left in place
-    spoil the span: if the true residuals miss the convergence bound, the
-    solve runs again from the same start, orthogonalized in full.
+    restart is a contiguous row.  It is kept semi-orthogonal by partial
+    reorthogonalization (Simon, Math. Comp. 42, 1984): estimates of
+    omega[j, i] = v_j . v_i follow from T alone, as v_i . S v_j = v_j . S v_i
+    with the three-term recurrence on both sides gives
+        beta_{j+1} omega[j+1, i] = beta_{i+1} omega[j, i+1]
+            + (alpha_i - alpha_j) omega[j, i] + beta_i omega[j, i-1]
+            - beta_j omega[j-1, i],
+    to which a rounding term sqrt(n) eps / 2 is added with each entry's
+    sign, as in PROPACK; omega[j+1, j] is that term.  Only when some
+    estimate passes sqrt(eps) is the new vector orthogonalized against the
+    window (_orthogonalize), and the next one with it, since row j still
+    holds the estimates that passed; each such row is reset to the rounding
+    level.  The restart keeps the recurrence (Wu & Simon, SIMAX 22, 2000):
+    the residual direction is orthogonalized against the kept vectors, and
+    the row of the last kept one is measured.  A window that holds the
+    whole space (m == n), the fresh direction after a breakdown and the
+    final Ritz vectors are orthogonalized in full.  Where a Krylov space
+    runs out, as in a graph of many components, beta can fall to 1e-12 and
+    the components left in place spoil the span: if the true residuals miss
+    the convergence bound, the solve runs again from the same start with
+    every step orthogonalized in full, which also guards the estimates.
 
     max_iter bounds the total number of operator applications; exhausting it
     raises NoConvergenceError carrying the best basis and its residuals.
-    The basis records the operator applications, thick restarts and
-    subtracting steps taken (matvecs, restarts, reorthogonalized), over both
-    solves if there were two.  Deterministic for fixed (op, k, tol, seed).
+    The basis records the operator applications, thick restarts and the
+    steps that orthogonalized against the window (matvecs, restarts,
+    reorthogonalized), over both solves if there were two.  Deterministic
+    for fixed (op, k, tol, seed).
     """
     if not isinstance(op, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(op)!r}")
@@ -695,6 +698,7 @@ def top_k_eigenpairs(
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     m = _window(n, k)
+    level = math.sqrt(n) * float(np.finfo(np.float64).eps) / 2.0  # the estimates' rounding
     v = np.zeros((m + 1, n))
     d = np.zeros(m)         # T's diagonal
     e = np.zeros(m + 1)     # e[i] couples v[i - 1] and v[i]; e[0] stays 0
@@ -722,6 +726,11 @@ def top_k_eigenpairs(
         v[0] = v0 / np.linalg.norm(v0)
         j = 0               # current basis size
         scale_floor = 0.0   # running estimate of the spectral scale
+        # Rows j - 1 and j of the estimates, omega[., i] at entry i + 1 and
+        # entry 0 zero for omega[., -1]; semi == 0 flags every step.
+        prev, cur = np.zeros(m + 2), np.zeros(m + 2)
+        cur[1] = 1.0
+        force = False       # the step after a flagged one orthogonalizes too
         while True:
             # Extend the basis from j to m vectors.
             while j < m:
@@ -732,9 +741,20 @@ def top_k_eigenpairs(
                 alpha = float(v[j] @ u)
                 d[j] = alpha
                 u -= alpha * v[j]
-                w, beta = _orthogonalize(u, v[: j + 1], semi)
-                reorthogonalized += w is not u  # u itself comes back if left in place
+                beta = float(np.linalg.norm(u))
                 tiny = np.finfo(np.float64).eps * max(1.0, abs(alpha), scale_floor) * n
+                w = np.zeros(j)     # a breakdown's row is the rounding level
+                if beta > tiny:
+                    w = (e[1 : j + 1] * cur[2 : j + 2] + (d[:j] - alpha) * cur[1 : j + 1]
+                         + e[:j] * cur[:j] - e[j] * prev[1 : j + 1]) / beta
+                prev, cur = cur, prev
+                cur[1 : j + 1] = w + np.copysign(level, w)
+                cur[j + 1 : j + 3] = level, 1.0
+                if force or np.abs(cur[1 : j + 2]).max() > semi:
+                    force = not force
+                    u, beta = _orthogonalize(u, v[: j + 1])
+                    reorthogonalized += 1
+                    cur[1 : j + 2] = level
                 if beta <= tiny:
                     # Invariant subspace hit; continue in a fresh random direction
                     # decoupled from the current block.
@@ -747,7 +767,7 @@ def top_k_eigenpairs(
                         break
                     v[j] = fresh / nrm
                 else:
-                    v[j + 1] = w / beta
+                    v[j + 1] = u / beta
                     e[j + 1] = beta
                     j += 1
                 if matvecs >= max_iter:
@@ -786,6 +806,11 @@ def top_k_eigenpairs(
             v[keep] = v[j]
             d[:keep] = dk[:keep]
             e[1 : keep + 1] = ek[1:]
+            if semi:  # the estimates go on from a fresh row and a measured one
+                w, nrm = _orthogonalize(v[keep], v[:keep])
+                v[keep] = w / nrm
+                prev[1:keep], prev[keep] = v[: keep - 1] @ v[keep - 1], 1.0
+                cur[1 : keep + 1], cur[keep + 1] = level, 1.0
             j = keep
             restarts += 1
 

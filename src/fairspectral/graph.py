@@ -15,7 +15,6 @@ import math
 import os
 import struct
 import threading
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -189,9 +188,8 @@ def load_graph(
     non-negative integers; classes above 1 are collapsed to 1 so multi-class
     sources reduce to the binary task.
 
-    Both files are read with np.loadtxt where it can; the line readers
-    _read_edge_ids_lines and _read_table_lines define the formats and give
-    every message that names a file line.
+    Both files are read line by line, and every format error names its
+    file line.
     """
     names, rows = _read_table(node_table_path)
     for col in (sensitive_column, label_column):
@@ -221,41 +219,15 @@ def load_graph(
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     """The node table's column names and its rows as an (n, columns) array.
 
-    _read_table_lines defines the format and every "node table line N"
-    message.  _read_table_bulk reads well-formed tables with one np.loadtxt
-    call and declines every other file, which then goes to the line reader,
-    so both routes accept the same files and return the same arrays.
-    """
-    table = _read_table_bulk(path)
-    return table if table is not None else _read_table_lines(path)
-
-
-def _read_table_bulk(path) -> tuple[list[str], np.ndarray] | None:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = next((ln for ln in fh if ln.strip()), None)
-        if header is None:
-            return None
-        names, delim = _table_header(header)
-        # comments=None: the format has no comments, so "1#2" is no number.
-        rows = _loadtxt(fh, np.float64, delimiter=delim, comments=None)
-    if rows is None or rows.shape[1] != len(names) or not np.isfinite(rows).all():
-        return None
-    return names, rows
-
-
-def _table_header(line: str) -> tuple[list[str], str]:
-    delim = "," if "," in line else "\t"
-    return [c.strip() for c in line.split(delim)], delim
-
-
-def _read_table_lines(path) -> tuple[list[str], np.ndarray]:
-    """The node table format: blank lines skipped, the first other line the
-    header, then one line per node with a number in every column."""
+    The format: blank lines skipped, the first other line the header, then
+    one line per node with a number in every column."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(ln_no, ln.rstrip("\n")) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("node table is empty")
-    names, delim = _table_header(lines[0][1])
+    header = lines[0][1]
+    delim = "," if "," in header else "\t"
+    names = [c.strip() for c in header.split(delim)]
     data = []
     for ln_no, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(delim)]
@@ -271,17 +243,9 @@ def _read_table_lines(path) -> tuple[list[str], np.ndarray]:
 
 
 def _read_edge_pairs(path, n: int) -> np.ndarray:
-    """The distinct undirected edges as sorted (lo, hi) rows, lo < hi.
-
-    _read_edge_ids_lines defines the format and every "edge list line N"
-    message.  _read_edge_ids_bulk reads well-formed lists with one
-    np.loadtxt call and declines every other file, which then goes to the
-    line reader, so both routes accept the same files and return the same
-    ids.  Self loops are dropped and duplicates merged here.
-    """
-    ids = _read_edge_ids_bulk(path, n)
-    if ids is None:
-        ids = _read_edge_ids_lines(path, n)
+    """The distinct undirected edges as sorted (lo, hi) rows, lo < hi, of
+    the ids _read_edge_ids reads: self loops dropped, duplicates merged."""
+    ids = _read_edge_ids(path, n)
     # By column: min and max along axis 1 of (m, 2) ids run ten times slower.
     lo, hi = np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
     # lo * n + hi orders the pairs as (lo, hi) does, so one sort of the
@@ -293,15 +257,7 @@ def _read_edge_pairs(path, n: int) -> np.ndarray:
     return np.stack([key // n, key % n], axis=1)
 
 
-def _read_edge_ids_bulk(path, n: int) -> np.ndarray | None:
-    with open(path, "r", encoding="utf-8") as fh:
-        ids = _loadtxt(fh, np.int64, comments="#")
-    if ids is None or ids.shape[1] != 2 or not ((0 <= ids) & (ids < n)).all():
-        return None
-    return ids
-
-
-def _read_edge_ids_lines(path, n: int) -> np.ndarray:
+def _read_edge_ids(path, n: int) -> np.ndarray:
     """The edge list format: one "u v" pair of node ids in [0, n) per line,
     '#' comments and blank lines skipped.  Returns the pairs as written."""
     pairs = []
@@ -321,19 +277,6 @@ def _read_edge_ids_lines(path, n: int) -> np.ndarray:
                 raise GraphFormatError(f"edge list line {ln_no}: id out of range [0, {n})")
             pairs.append((u, v))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def _loadtxt(fh, dtype, **kwargs) -> np.ndarray | None:
-    """np.loadtxt of the rest of an open file as a 2-D array, or None where
-    it rejects the text or warns (on a file with no rows, say), for the
-    caller to read line by line instead.  Given an open file rather than a
-    path, loadtxt never looks for compressed siblings or URLs."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(fh, dtype=dtype, ndmin=2, **kwargs)
-        except (ValueError, Warning):  # the line reader gives the format's own message
-            return None
 
 
 def text_digest(edge_text: bytes, node_text: bytes) -> bytes:

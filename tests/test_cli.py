@@ -328,6 +328,7 @@ class TestEig:
         assert sidecar["method"] == "lanczos-topk"
         assert sidecar["mode"] == "sym"
         assert sidecar["graph"] == digest_of(data).hex()
+        assert sidecar["basis"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert len(sidecar["eigenvalues"]) == 4
         assert sidecar["max_residual"] <= 1e-8
         assert sidecar["seconds"] > 0
@@ -431,11 +432,11 @@ class TestEig:
         assert hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest() == digest
 
     def test_zero_threshold_writes_the_fully_orthogonalized_basis(self, tmp_path, monkeypatch):
-        # With nothing left in place, every step subtracts its components
-        # along the window, in one solve.  The lanczos-k8 graph's
+        # With every estimate past the threshold, every step orthogonalizes
+        # against the window, in one solve.  The lanczos-k8 graph's
         # semi-orthogonal solve misses the convergence bound and is redone
         # this way, so both write the same bytes; the default counts both
-        # solves (176 + 176 matvecs, 30 + 176 subtracting steps).
+        # solves (176 + 176 matvecs, 12 + 176 orthogonalizing steps).
         data = tmp_path / "data"
         assert run("gen", "--n", "200", "--seed", "0", "--out", str(data)) == 0
         assert run("eig", "--graph", str(data), "--k", "8") == 0
@@ -446,7 +447,7 @@ class TestEig:
                 == "c7dca63e807a45c6da52392bcc70ccae831fb4f4b2317e0cacd4291c548c869e")
         sidecar = read_json(data / "basis.bin.json")
         assert sidecar["reorthogonalized"] == sidecar["matvecs"] == 176
-        assert (both["matvecs"], both["restarts"], both["reorthogonalized"]) == (352, 8, 206)
+        assert (both["matvecs"], both["restarts"], both["reorthogonalized"]) == (352, 8, 188)
 
     def test_bad_k_is_usage_error(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -614,7 +615,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("eig_args, train_args, history, metrics", [
         (("--k", "5"), ("--hidden", "8", "--layers", "1", "--encode-dim", "4"),
-         "3456e1f1e37da2cf51cd233766151aee39001dcba595d26171bd523e55097516",
+         "c2c8e3dbdb9d0c6dffbc2d209424167b4d86feb7fd4d1c68232c90dcfefbb77c",
          "fad3828a7190253b4b143143d6825e2aa366627d044219f507c35eae0240be2b"),
         (("--dense", "--k", "120"), (),
          "1e83ef12ac61690555484c32214c304b314c3614317b97a7f99003d9928e55c3",
@@ -649,6 +650,23 @@ class TestTrain:
             assert err.startswith("error: basis sidecar") and "names graph" in err
             assert not out.exists()
             (data / "graph.bin").unlink(missing_ok=True)
+
+    def test_basis_file_the_sidecar_does_not_name_is_refused(self, tmp_path, capsys):
+        # A 6-pair sym basis copied over a 4-pair raw one: n, the mode and
+        # the graph in the sidecar all match, and only its basis digest
+        # tells the file apart.
+        data, out = tmp_path / "st", tmp_path / "runs"
+        assert run("gen", "--n", "300", "--seed", "0", "--out", str(data)) == 0
+        assert run("eig", "--graph", str(data), "--k", "4", "--mode", "raw") == 0
+        other = tmp_path / "other.bin"
+        assert run("eig", "--graph", str(data), "--k", "6", "--out", str(other)) == 0
+        (data / "basis.bin").write_bytes(other.read_bytes())
+        capsys.readouterr()
+        assert run("train", "--graph", str(data), "--mode", "raw", "--epochs", "3",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis sidecar") and "names basis" in err
+        assert not out.exists()
 
     def test_different_basis_gets_its_own_run_dir(self, tmp_path):
         data = gen_graph(tmp_path)
@@ -907,10 +925,12 @@ def bad_split_files(draw):
 @st.composite
 def bad_basis_files(draw):
     """A basis for the valid graph and its sidecar with one fault in either:
-    (basis, an edit of the file's bytes that returns None for no file,
-    sidecar text or None for no file, a part of the expected message)."""
+    (basis, an edit of the file's bytes that returns None for no file, the
+    sidecar text as a function of the saved file's SHA-256 or None for no
+    file, a part of the expected message)."""
     basis = SpectralBasis(np.array([1.0, 0.5]), np.eye(N_NODES)[:, :2])
-    edit, sidecar = (lambda b: b), json.dumps({"mode": "sym", "graph": GRAPH_DIGEST})
+    edit = lambda b: b
+    sidecar = lambda digest: json.dumps({"mode": "sym", "graph": GRAPH_DIGEST, "basis": digest})
     messages = {
         "no-file": "missing basis file", "magic": "not an FSB1 file",
         "header": "truncated FSB1 header", "payload": "FSB1 payload has",
@@ -920,6 +940,7 @@ def bad_basis_files(draw):
         "sidecar-not-object": "not a JSON object", "sidecar-no-mode": "has mode None",
         "sidecar-mode": "basis sidecar",
         "sidecar-no-graph": "names graph None", "sidecar-other-graph": "names graph",
+        "sidecar-no-basis": "names basis None", "sidecar-other-basis": "names basis",
     }
     kind = draw(st.sampled_from(sorted(messages)))
     if kind == "no-file":
@@ -945,20 +966,30 @@ def bad_basis_files(draw):
     elif kind == "no-sidecar":
         sidecar = None
     elif kind == "sidecar-junk":
-        sidecar = draw(st.text(alphabet="{}[]:,ab", max_size=6))
+        text = draw(st.text(alphabet="{}[]:,ab", max_size=6))
+        sidecar = lambda digest: text
     elif kind == "sidecar-not-object":
-        sidecar = json.dumps(draw(NOT_JSON_OBJECT))
+        text = json.dumps(draw(NOT_JSON_OBJECT))
+        sidecar = lambda digest: text
     elif kind == "sidecar-no-mode":
-        sidecar = json.dumps({"n": N_NODES, "k": 2})
+        sidecar = lambda digest: json.dumps({"n": N_NODES, "k": 2, "basis": digest})
     elif kind == "sidecar-mode":
-        sidecar = json.dumps({"mode": draw(st.one_of(WORD, st.just("raw"), st.none())),
-                              "graph": GRAPH_DIGEST})
+        mode = draw(st.one_of(WORD, st.just("raw"), st.none()))
+        sidecar = lambda digest: json.dumps({"mode": mode, "graph": GRAPH_DIGEST, "basis": digest})
     elif kind == "sidecar-no-graph":
-        sidecar = json.dumps({"mode": "sym"})
-    else:
+        sidecar = lambda digest: json.dumps({"mode": "sym", "basis": digest})
+    elif kind == "sidecar-other-graph":
         other = draw(st.binary(min_size=32, max_size=32).map(bytes.hex))
-        sidecar = json.dumps({"mode": "sym", "graph": draw(
-            st.sampled_from([other, other.upper(), GRAPH_DIGEST[:-1]]))})
+        graph = draw(st.sampled_from([other, other.upper(), GRAPH_DIGEST[:-1]]))
+        sidecar = lambda digest: json.dumps({"mode": "sym", "graph": graph, "basis": digest})
+    elif kind == "sidecar-no-basis":
+        sidecar = lambda digest: json.dumps({"mode": "sym", "graph": GRAPH_DIGEST})
+    else:
+        # Another file's digest, or this one's in capitals or cut short.
+        other = draw(st.binary(min_size=32, max_size=32).map(bytes.hex))
+        change = draw(st.sampled_from([lambda h: other, str.upper, lambda h: h[:-1]]))
+        sidecar = lambda digest: json.dumps({"mode": "sym", "graph": GRAPH_DIGEST,
+                                             "basis": change(digest)})
     return basis, edit, sidecar, messages[kind]
 
 
@@ -1050,6 +1081,7 @@ class TestMalformedInputsExitCleanly:
         root = write_inputs(tmp_path / "g")
         path, side = root / "basis.bin", root / "basis.bin.json"
         save_basis(basis, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         data = edit(path.read_bytes())
         if data is None:
             path.unlink()
@@ -1057,6 +1089,6 @@ class TestMalformedInputsExitCleanly:
             path.write_bytes(data)
         side.unlink(missing_ok=True)
         if sidecar is not None:
-            side.write_text(sidecar)
+            side.write_text(sidecar(digest))
         assert message in self.assert_usage_error(capsys, self.train_argv(root), valid_twin)[0]
 

@@ -26,12 +26,9 @@ from fairspectral.graph import (
     SbmConfig,
     SplitError,
     SplitMasks,
-    _read_edge_ids_bulk,
-    _read_edge_ids_lines,
+    _read_edge_ids,
     _read_edge_pairs,
     _read_table,
-    _read_table_bulk,
-    _read_table_lines,
     _MIN_THREADED_N,
     _sample_block_edges,
     _usable_cores,
@@ -249,11 +246,10 @@ class TestLoadGraph:
             load_graph(edges, nodes, "sensitive", "target")
 
 
-# Files for the two routes of each reader.  Every file below is one that
-# np.loadtxt might read differently from the line readers: ids that int()
-# takes and loadtxt does not ("1_0", "٣") or the reverse, tabs, CRLF,
-# trailing comments, blank and whitespace-only lines, "#" inside a node
-# table cell, reversed, repeated and self-loop pairs, and no pairs at all.
+# Odd files for the readers: ids that int() takes and np.loadtxt does not
+# ("1_0", "٣") or the reverse, tabs, CRLF, trailing comments, blank and
+# whitespace-only lines, "#" inside a node table cell, reversed, repeated
+# and self-loop pairs, and no pairs at all.
 N_IDS = 12
 GOOD_ID = st.one_of(
     st.integers(0, N_IDS - 1).map(str),
@@ -348,33 +344,38 @@ def outcomes(path, *readers):
 
 
 def check_edge_routes(path):
-    """The bulk route declines or returns the line reader's ids, and the
-    sort-based dedup gives np.unique's pairs or the line reader's message."""
-    lines, bulk, pairs = outcomes(path, partial(_read_edge_ids_lines, n=N_IDS),
-                                  partial(_read_edge_ids_bulk, n=N_IDS),
-                                  partial(_read_edge_pairs, n=N_IDS))
+    """The reader returns (m, 2) int64 ids in [0, N_IDS) or raises a line's
+    message, and the sort-based dedup gives np.unique's pairs of those ids
+    or the same message."""
+    lines, pairs = outcomes(path, partial(_read_edge_ids, n=N_IDS),
+                            partial(_read_edge_pairs, n=N_IDS))
     if isinstance(lines, str):
-        assert bulk is None and pairs == lines
+        assert lines.startswith("edge list line ") and pairs == lines
         return
-    assert bulk is None or same_array(bulk, lines)
+    assert lines.dtype == np.int64 and lines.shape[1] == 2
+    assert np.all((0 <= lines) & (lines < N_IDS))
     lo_hi = np.sort(lines, axis=1)
     assert same_array(pairs, np.unique(lo_hi[lo_hi[:, 0] != lo_hi[:, 1]], axis=0).reshape(-1, 2))
 
 
 def check_table_routes(path):
-    """The bulk route declines or returns the line reader's table, and so
-    does the reader, or it raises the line reader's message."""
-    lines, bulk, table = outcomes(path, _read_table_lines, _read_table_bulk, _read_table)
-    if isinstance(lines, str):
-        assert bulk is None and table == lines
+    """The reader returns the header's names and a finite float64 row per
+    node line, one column per name (no rows: an empty array), or raises its
+    message."""
+    (table,) = outcomes(path, _read_table)
+    if isinstance(table, str):
+        assert table == "node table is empty" or table.startswith("node table line ")
         return
-    for got in (bulk, table):
-        assert got is None or (got[0] == lines[0] and same_array(got[1], lines[1]))
+    names, rows = table
+    assert rows.dtype == np.float64 and np.isfinite(rows).all()
+    assert rows.size == 0 or rows.shape == (rows.shape[0], len(names))
 
 
 class TestBulkReadersMatchLineReaders:
-    """The line readers define the file formats; the bulk readers either
-    return exactly their arrays or decline (None), and no warning escapes."""
+    """The file readers on odd files: each returns well-formed arrays or
+    raises a GraphFormatError that names the file line, no other exception
+    or warning escapes, and the sort-based dedup of the edge pairs (the one
+    bulk step left) matches np.unique."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -417,19 +418,21 @@ class TestBulkReadersMatchLineReaders:
     def test_bulk_routes_take_well_formed_files(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_bytes(b"# c\r\n\r\n 3\t+1 # c\r\n1 03\n  \n2 2\n")
-        np.testing.assert_array_equal(_read_edge_ids_bulk(edges, N_IDS), [[3, 1], [1, 3], [2, 2]])
+        np.testing.assert_array_equal(_read_edge_ids(edges, N_IDS), [[3, 1], [1, 3], [2, 2]])
+        np.testing.assert_array_equal(_read_edge_pairs(edges, N_IDS), [[1, 3]])
         nodes = tmp_path / "nodes.csv"
         nodes.write_bytes(b"\n a , b \r\n1, -2.5\r\n\r\n+3 ,.5\n")
-        names, rows = _read_table_bulk(nodes)
+        names, rows = _read_table(nodes)
         assert names == ["a", "b"]
         np.testing.assert_array_equal(rows, [[1.0, -2.5], [3.0, 0.5]])
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n", "1_0 2\n", "0 ٣\n"])
     def test_edge_lists_the_bulk_route_declines(self, tmp_path, text):
+        # Files np.loadtxt refuses or warns on; ids are what int() reads.
         edges = tmp_path / "edges.txt"
         edges.write_text(text, encoding="utf-8")
-        assert _read_edge_ids_bulk(edges, N_IDS) is None
-        assert _read_edge_ids_lines(edges, N_IDS).shape[1] == 2
+        expected = {"1_0 2\n": [[10, 2]], "0 ٣\n": [[0, 3]]}.get(text, np.zeros((0, 2)))
+        np.testing.assert_array_equal(_read_edge_ids(edges, N_IDS), expected)
 
 
 class TestNormalize:
