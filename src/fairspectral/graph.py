@@ -341,9 +341,11 @@ def _pairs_to_adjacency(n: int, pairs: np.ndarray) -> CsrMatrix:
 def normalize(g: Graph, mode: str = "sym") -> CsrMatrix:
     """Build the propagation operator for a graph.
 
-    "sym": D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, a new
-    matrix whose spectrum lies in [-1, 1].  "raw": the stored adjacency
-    itself, the same object with the same buffers.
+    "sym": D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, whose
+    spectrum lies in [-1, 1]: a new matrix that stores the unit pattern
+    A + I and D^{-1/2} as its scale, so its products gather and add and
+    scale twice.  "raw": the stored adjacency itself, the same object with
+    the same buffers.
     """
     if mode == "raw":
         return g.adjacency
@@ -362,9 +364,7 @@ def _sym_normalize(a: CsrMatrix) -> CsrMatrix:
     values = np.insert(a.values, at, 1.0)
     row_ptr = a.row_ptr + np.arange(n + 1)
     degree = np.diff(row_ptr)  # of A+I with unit weights
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    values *= inv_sqrt[np.repeat(np.arange(n), degree)] * inv_sqrt[col_idx]
-    return CsrMatrix(n, row_ptr, col_idx, values)
+    return CsrMatrix(n, row_ptr, col_idx, values, 1.0 / np.sqrt(degree))
 
 
 def make_splits(g: Graph, seed: int) -> SplitMasks:

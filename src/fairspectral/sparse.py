@@ -3,7 +3,11 @@
 The whole toolkit works on undirected graphs, so every matrix stored here is
 symmetric by contract.  Only the operations the pipeline actually needs are
 provided: matrix-vector and matrix-matrix products, densification for small
-instances, and construction helpers.
+instances, and construction helpers.  A matrix may carry a diagonal scaling
+on both sides, diag(s) V diag(s), as the "sym" operator D^-1/2 (A+I) D^-1/2
+does: its entries stay the unit pattern A + I, and a product scales the
+vector before and after.  A matrix whose stored values are all 1.0 is
+multiplied by gathering and adding alone.
 """
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ class CsrMatrix:
     row_ptr has length n + 1, col_idx and values have length nnz.  Column
     indices are strictly increasing inside each row (checked here: matvec
     would sum a duplicate that to_dense overwrites).  Symmetry is a contract
-    of the callers (both halves are stored explicitly).
+    of the callers (both halves are stored explicitly).  scale, None or a
+    length-n vector s, makes the matrix diag(s) V diag(s) for the stored
+    values V: entry (r, c) is values * (s_r * s_c), as to_dense writes it.
 
     Products sum by jagged diagonals (see _JaggedPlan), planned on the first
     product and kept on the matrix.  Each row's sum is its leading entries
@@ -32,13 +38,16 @@ class CsrMatrix:
     (256 KB) unless one diagonal is longer, into one scratch buffer that
     every block reuses; a gather by rank then puts the sums in row order.
     The blocks move no rounding: each entry is multiplied once, and each
-    row's adds come in the same order as in one pass over all entries.
+    row's adds come in the same order as in one pass over all entries.  A
+    plan of unit values skips the multiply, which changes no bit.  With a
+    scale the product is s * (V (s * x)).
     """
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    scale: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_ptr", np.ascontiguousarray(self.row_ptr, dtype=np.int64))
@@ -57,6 +66,11 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         if np.any((np.diff(self.row_indices()) == 0) & (np.diff(self.col_idx) <= 0)):
             raise ValueError("column indices must be strictly increasing inside each row")
+        if self.scale is not None:
+            object.__setattr__(self, "scale", np.ascontiguousarray(self.scale, dtype=np.float64))
+            if self.scale.shape != (self.n,):
+                raise ValueError("scale must have length n")
+            self.scale.flags.writeable = False
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.flags.writeable = False
 
@@ -95,7 +109,11 @@ class CsrMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        out[self.row_indices(), self.col_idx] = self.values
+        rows = self.row_indices()
+        values = self.values
+        if self.scale is not None:
+            values = values * (self.scale[rows] * self.scale[self.col_idx])
+        out[rows, self.col_idx] = values
         return out
 
 
@@ -125,7 +143,7 @@ class _JaggedPlan(NamedTuple):
 
     rank: np.ndarray  # rank of each row
     col_idx: np.ndarray  # diagonals, then the open rows' tails
-    values: np.ndarray
+    values: np.ndarray | None  # None when every stored value is 1.0
     rows: tuple[int, ...]
     blocks: tuple[tuple[int, int, tuple[int, ...]], ...]  # entry start, stop, diagonals' rows
     tail_starts: np.ndarray  # reduceat starts of the tails in the last block
@@ -159,8 +177,8 @@ class _JaggedPlan(NamedTuple):
         if tail_size:
             start, stop, members = blocks[-1]
             blocks[-1] = (start, stop, members[:-1])
-        return cls(rank, col_idx[entries], values[entries], tuple(diagonals),
-                   tuple((a, b, tuple(m)) for a, b, m in blocks),
+        return cls(rank, col_idx[entries], None if np.all(values == 1.0) else values[entries],
+                   tuple(diagonals), tuple((a, b, tuple(m)) for a, b, m in blocks),
                    tail_starts + (stop - tail_size - start),
                    max((b - a for a, b, _ in blocks), default=0))
 
@@ -170,20 +188,26 @@ def _product(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     at a time through one buffer.  Empty rows rank last, no diagonal or tail
     reaches them, and they keep their zero."""
     plan = a._plan
+    if a.scale is not None:
+        x = x * a.scale
     buf = np.empty(plan.width)
     sums = np.zeros(a.n)
     for start, stop, rows in plan.blocks:
         # Indices were checked at construction, so "clip" never clips; it
         # lets take write straight into the buffer.
         prod = x.take(plan.col_idx[start:stop], out=buf[:stop - start], mode="clip")
-        prod *= plan.values[start:stop]
+        if plan.values is not None:
+            prod *= plan.values[start:stop]
         at = 0
         for r in rows:
             sums[:r] += prod[at:at + r]
             at += r
     if plan.tail_starts.size:
         sums[:plan.tail_starts.size] += np.add.reduceat(prod, plan.tail_starts)
-    return sums.take(plan.rank)
+    out = sums.take(plan.rank)
+    if a.scale is not None:
+        out *= a.scale
+    return out
 
 
 def csr_from_dense(a: np.ndarray, tol: float = 0.0) -> CsrMatrix:
@@ -219,7 +243,9 @@ def csr_from_edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
 
 
 def is_symmetric(a: CsrMatrix, tol: float = 0.0) -> bool:
-    """A equals its transpose, values within tol.
+    """A equals its transpose, values within tol.  A scale s keeps the
+    symmetry of the stored values V (s_r V_rc s_c), so only V is compared,
+    and tol then bounds differences of V, not of the scaled entries.
 
     Storage is in (row, col) order, so a stable sort by column lists the
     transpose's entries in the same order; A is symmetric when that list

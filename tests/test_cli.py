@@ -412,7 +412,7 @@ class TestEig:
         assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, extra, digest", [
-        (200, (), "c7dca63e807a45c6da52392bcc70ccae831fb4f4b2317e0cacd4291c548c869e"),
+        (200, (), "92896232883f9e8ff014e823af15de9286a96a8b6718fddf435ed24d963d8bcc"),
         (30, ("--dense",), "1c0d2897e3f9b26850b9b899ed5eae58702547e2c014e43b404497317f5b25bb"),
     ], ids=["lanczos-k8", "dense-n30"])
     def test_basis_bytes_are_frozen(self, tmp_path, n, extra, digest):
@@ -421,7 +421,9 @@ class TestEig:
         # changes the dense digest.  The Lanczos one moves with the window
         # size, with the tridiagonal solver (above 32 rows, divide and
         # conquer), with the restart's reduction of the arrowhead, with the
-        # Gram-Schmidt passes and with the sparse product's summation order.
+        # Gram-Schmidt passes, with the sparse product's summation order and
+        # with where the operator's D^-1/2 is applied: to the vector before
+        # and after the unit pattern's sums, not to each stored entry.
         # Its graph has many components: the semi-orthogonal solve misses
         # the convergence bound, so these are the bytes of the second solve,
         # orthogonalized in full.  Its eigenvalue 1 is 88-fold, and the
@@ -444,7 +446,7 @@ class TestEig:
         monkeypatch.setattr(eigen, "_SEMIORTHOGONAL", 0.0)
         assert run("eig", "--graph", str(data), "--k", "8") == 0
         assert (hashlib.sha256((data / "basis.bin").read_bytes()).hexdigest()
-                == "c7dca63e807a45c6da52392bcc70ccae831fb4f4b2317e0cacd4291c548c869e")
+                == "92896232883f9e8ff014e823af15de9286a96a8b6718fddf435ed24d963d8bcc")
         sidecar = read_json(data / "basis.bin.json")
         assert sidecar["reorthogonalized"] == sidecar["matvecs"] == 176
         assert (both["matvecs"], both["restarts"], both["reorthogonalized"]) == (352, 8, 188)
@@ -615,7 +617,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("eig_args, train_args, history, metrics", [
         (("--k", "5"), ("--hidden", "8", "--layers", "1", "--encode-dim", "4"),
-         "c2c8e3dbdb9d0c6dffbc2d209424167b4d86feb7fd4d1c68232c90dcfefbb77c",
+         "25e3ab8c4330dc6dfdbe40e7a5452a1b9aa993feee576d2f27339381bff2c717",
          "fad3828a7190253b4b143143d6825e2aa366627d044219f507c35eae0240be2b"),
         (("--dense", "--k", "120"), (),
          "1e83ef12ac61690555484c32214c304b314c3614317b97a7f99003d9928e55c3",

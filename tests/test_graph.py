@@ -7,6 +7,7 @@ columns.  Operator tests compare against closed forms or dense eigensolves
 that are computed right here in the test.
 """
 
+import hashlib
 import itertools
 import json
 import threading
@@ -481,6 +482,30 @@ class TestNormalize:
         expected = a_hat / np.sqrt(np.outer(d, d))
         got = normalize(g, "sym").to_dense()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_sym_stores_the_unit_pattern_and_its_scale(self):
+        g = generate_sbm(SbmConfig(n=60, p_in=0.2, p_out=0.05, seed=1))
+        op = normalize(g, "sym")
+        assert np.all(op.values == 1.0)
+        np.testing.assert_array_equal(op.scale, 1.0 / np.sqrt(np.diff(op.row_ptr)))
+        op.matvec(np.ones(op.n))
+        assert op._plan.values is None
+
+    def test_sym_dense_bytes_are_frozen(self):
+        # Recorded when the operator stored each entry s_r s_c: to_dense
+        # forms 1.0 * (s_r * s_c), the same bits, so the dense route's
+        # basis keeps its bytes.
+        op = normalize(generate_sbm(SbmConfig(n=400, seed=0)), "sym")
+        assert hashlib.sha256(op.to_dense().tobytes()).hexdigest() == (
+            "4e3da79d984a42ebd8c8ee0c71116e222f0ea0bea11a33779e05e17f83b4e18b")
+
+    def test_sym_product_matches_its_dense_form(self):
+        # s * (P (s * x)) rounds otherwise than the sums of s_r s_c x_c.
+        op = normalize(generate_sbm(SbmConfig(n=400, seed=0)), "sym")
+        x = np.random.default_rng(0).standard_normal((op.n, 3))
+        want = op.to_dense() @ x
+        got = op.matmat(x)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairspectral import sparse
+from fairspectral.graph import SbmConfig, generate_sbm
 from fairspectral.sparse import (
     _MIN_ROWS,
     CsrMatrix,
@@ -312,6 +313,59 @@ def test_products_at_full_size_are_frozen():
         "813cff3b5f1421fa267ccc663838db9223d9e77eead6ab08914d7d2772457cf3")
     assert len(m._plan.blocks) > 1
     assert_blocks_partition_rows(m._plan, sparse._BLOCK_ENTRIES)
+
+
+def test_unit_weight_products_are_frozen():
+    # Recorded while every plan multiplied by its values: a plan of unit
+    # values skips the multiply by 1.0, which moves no bit.
+    m = generate_sbm(SbmConfig()).adjacency
+    x = np.random.default_rng(27).standard_normal((m.n, 3))
+    assert hashlib.sha256(m.matvec(x[:, 0]).tobytes()).hexdigest() == (
+        "2bf75421c36bb6f8e2ba907a354aada51cb574552503b6edd9f2082b6738ea70")
+    assert hashlib.sha256(m.matmat(x).tobytes()).hexdigest() == (
+        "efae55c6818d162324adab6d90641cc575f036bfa335b9a6dc3f52f17500982c")
+    assert m._plan.values is None
+
+
+class TestScale:
+    """diag(s) V diag(s), stored as V and s."""
+
+    def scaled(self, n=80, seed=3):
+        rng = np.random.default_rng(seed)
+        a = random_masked_symmetric(rng, n, density=0.2)
+        a[7] = a[:, 7] = 0.0
+        s = rng.uniform(0.1, 2.0, n)
+        m = csr_from_dense(a)
+        return a, s, CsrMatrix(n, m.row_ptr, m.col_idx, m.values, s)
+
+    def test_weighted_matrix_matches_dense_formula(self):
+        a, s, m = self.scaled()
+        dense = a * (s[:, None] * s[None, :])
+        np.testing.assert_array_equal(m.to_dense(), dense)
+        x = np.random.default_rng(4).standard_normal((m.n, 3))
+        for c in range(3):
+            got = m.matvec(x[:, c])
+            np.testing.assert_allclose(got, dense @ x[:, c], rtol=0, atol=1e-12)
+            assert got.tobytes() == jagged_product(m, x[:, c]).tobytes()
+        columns = np.column_stack([m.matvec(x[:, c]) for c in range(3)])
+        assert m.matmat(x).tobytes() == columns.tobytes()
+        assert m._plan.values is not None and is_symmetric(m)
+
+    def test_unit_pattern_is_gathered_only(self):
+        a, s, m = self.scaled()
+        unit = CsrMatrix(m.n, m.row_ptr, m.col_idx, np.ones(m.nnz), s)
+        x = np.random.default_rng(5).standard_normal(m.n)
+        got = unit.matvec(x)
+        assert unit._plan.values is None
+        assert got.tobytes() == jagged_product(unit, x).tobytes()
+        np.testing.assert_allclose(got, unit.to_dense() @ x, rtol=0, atol=1e-12)
+
+    def test_scale_is_checked_and_read_only(self):
+        a, s, m = self.scaled()
+        assert m.scale.dtype == np.float64 and not m.scale.flags.writeable
+        with pytest.raises(ValueError, match="scale"):
+            CsrMatrix(m.n, m.row_ptr, m.col_idx, m.values, s[:-1])
+        assert csr_from_dense(a).scale is None
 
 
 class TestFromDense:
